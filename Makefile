@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # real measurements.
 BENCHTIME ?= 1x
 
-.PHONY: all check fmt vet build test race race-cache bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-service bench-recovery bench-all run-daemon
+.PHONY: all check fmt vet build test race race-cache bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-all run-daemon
 
 all: check
 
@@ -95,42 +95,18 @@ bench-spill:
 	$(GO) test -bench='SpillDetect' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_spill.json
 
-# bench-service drives the closed-loop HTTP load harness: for each
-# worker count in LOAD_SWEEP it spawns that many `semandaqd -worker`
-# processes plus a coordinator preloaded with LOAD_N tuples, runs the
-# mixed append/detect/violations/discover loop for LOAD_DUR per run,
-# and writes throughput + p50/p95/p99 + the boundary-group residual
-# fraction to BENCH_service.json. The defaults are the measurement
-# setting; CI overrides them down to a smoke (see ci.yml).
-LOAD_N ?= 5000
-LOAD_DUR ?= 5s
-LOAD_SWEEP ?= 1,2,4
-LOAD_CLIENTS ?= 8
-
-bench-service:
-	mkdir -p bin
-	$(GO) build -o bin/semandaqd ./cmd/semandaqd
-	$(GO) build -o bin/loadgen ./cmd/loadgen
-	./bin/loadgen -bin bin/semandaqd -sweep '$(LOAD_SWEEP)' -n $(LOAD_N) \
-		-clients $(LOAD_CLIENTS) -duration $(LOAD_DUR) -out BENCH_service.json
-	cat BENCH_service.json
-
-# bench-recovery runs the crash-recovery harness: for each acked-append
-# count in RECOVERY_SWEEP it boots a durable daemon (-data-dir on a temp
-# dir, WAL fsync on every write), streams single-row appends, SIGKILLs
-# the process mid-stream, restarts it on the same data dir, and fails
-# unless every acked append survived exactly once with zero re-ingest
-# detection work. BENCH_recovery.json records exec→healthy recovery
-# time against the WAL tail length.
-RECOVERY_SWEEP ?= 200,1000,4000
-RECOVERY_N ?= 2000
-
-bench-recovery:
-	mkdir -p bin
-	$(GO) build -o bin/semandaqd ./cmd/semandaqd
-	$(GO) build -o bin/loadgen ./cmd/loadgen
-	./bin/loadgen -bin bin/semandaqd -recovery '$(RECOVERY_SWEEP)' -n $(RECOVERY_N) -out BENCH_recovery.json
-	cat BENCH_recovery.json
+# bench-smoke runs the service benchmark BENCHMARK.json declares
+# (bench/, a module of its own) for three seconds per workload and then
+# that module's own vet and tests, so a root-module change that breaks
+# the benchmark's build or one of its output checks — cluster ≡ single
+# process, repair leaves nothing, kill -9 loses no acked append — fails
+# here. Correctness only: a shared runner cannot hold a timing bound.
+# Measure with `bash bench/run.sh` and `go run -C bench . compare`.
+bench-smoke:
+	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0; \
+	done
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-all smoke-runs every benchmark once.
 bench-all:

@@ -4,9 +4,7 @@
 // budgeted run must stay rebuild-free — every eviction is a demotion to
 // a segment file and every revival a zero-copy page-in, asserted via
 // the spills/pageins/misses counters — so the gap between the two
-// sub-benchmarks is the cost of tiering, not of recomputation. The
-// colspill variant additionally demotes the base relation's code
-// arrays, the configuration with the smallest resident footprint.
+// sub-benchmarks is the cost of tiering, not of recomputation.
 // `make bench-spill` archives the results (with peak RSS from
 // bench_meta_test.go in meta) as BENCH_spill.json.
 package main
@@ -58,63 +56,50 @@ func BenchmarkSpillDetect(b *testing.B) {
 		b.ReportMetric(float64(s.IndexResidentBytes())/(1<<20), "resident-MB")
 	})
 
-	runBudgeted := func(b *testing.B, name string, spillCols bool) {
-		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-			if !relation.MmapSupported() {
-				b.Skip("no mmap on this platform")
-			}
-			data := dirty
-			if spillCols {
-				data = dirty.Clone()
-			}
-			s, err := engine.NewSession("spill-"+name, data, set, 0)
-			if err != nil {
+	b.Run(fmt.Sprintf("budget=working÷8/n=%d", n), func(b *testing.B) {
+		if !relation.MmapSupported() {
+			b.Skip("no mmap on this platform")
+		}
+		s, err := engine.NewSession("spill-budgeted", dirty, set, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := relation.NewSpillStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetSpill(store)
+		s.SetIndexBudget(budget)
+		// Warm up: cold builds plus the first demote/page-in cycle,
+		// so the timed loop measures the tiered steady state.
+		for i := 0; i < 2; i++ {
+			if _, err := s.Detect(); err != nil {
 				b.Fatal(err)
 			}
-			store, err := relation.NewSpillStore(b.TempDir())
-			if err != nil {
+		}
+		warm := s.IndexStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Detect(); err != nil {
 				b.Fatal(err)
 			}
-			s.SetSpill(store)
-			s.SetIndexBudget(budget)
-			if spillCols {
-				if _, err := s.SpillColumns(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Warm up: cold builds plus the first demote/page-in cycle,
-			// so the timed loop measures the tiered steady state.
-			for i := 0; i < 2; i++ {
-				if _, err := s.Detect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warm := s.IndexStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Detect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			after := s.IndexStats()
-			// The tier must absorb the budget pressure: zero rebuilds and
-			// zero refinements after warm-up — only demotions and page-ins.
-			if after.Misses != warm.Misses || after.Refines != warm.Refines {
-				b.Fatalf("budgeted detect rebuilt partitions: %+v -> %+v", warm, after)
-			}
-			if after.Spills == 0 {
-				b.Fatalf("budget %d never demoted an entry: %+v", budget, after)
-			}
-			if after.Pageins == 0 {
-				b.Fatalf("budget %d never paged an entry back in: %+v", budget, after)
-			}
-			if resident := s.IndexResidentBytes(); resident > working {
-				b.Fatalf("budgeted resident set %d exceeds unlimited working set %d", resident, working)
-			}
-			b.ReportMetric(float64(s.IndexResidentBytes())/(1<<20), "resident-MB")
-		})
-	}
-	runBudgeted(b, "budget=working÷8", false)
-	runBudgeted(b, "budget=working÷8+colspill", true)
+		}
+		b.StopTimer()
+		after := s.IndexStats()
+		// The tier must absorb the budget pressure: zero rebuilds and
+		// zero refinements after warm-up — only demotions and page-ins.
+		if after.Misses != warm.Misses || after.Refines != warm.Refines {
+			b.Fatalf("budgeted detect rebuilt partitions: %+v -> %+v", warm, after)
+		}
+		if after.Spills == 0 {
+			b.Fatalf("budget %d never demoted an entry: %+v", budget, after)
+		}
+		if after.Pageins == 0 {
+			b.Fatalf("budget %d never paged an entry back in: %+v", budget, after)
+		}
+		if resident := s.IndexResidentBytes(); resident > working {
+			b.Fatalf("budgeted resident set %d exceeds unlimited working set %d", resident, working)
+		}
+		b.ReportMetric(float64(s.IndexResidentBytes())/(1<<20), "resident-MB")
+	})
 }

@@ -52,13 +52,14 @@
 //	semandaqd -worker -addr :8091          # worker owning a TID-range slice
 //	semandaqd -cluster http://h1,http://h2 # coordinator fronting workers
 //
-// -worker only changes startup logging — every semandaqd mounts the
-// /v1/shard/* protocol — but names the role for operators. -cluster
-// takes a comma-separated worker URL list and serves the coordinator
-// surface instead: registration range-partitions datasets across the
-// fleet, detect/discover fan out and merge byte-identically to a
-// single process, and appends route to the tail worker. -preload works
-// in both modes (the coordinator registers through the fleet).
+// -worker only changes startup logging — every semandaqd over a local
+// engine mounts the /v1/shard/* protocol — but names the role for
+// operators. -cluster takes a comma-separated worker URL list and
+// serves the same public surface through a coordinator instead:
+// registration range-partitions datasets across the fleet,
+// detect/discover fan out and merge byte-identically to a single
+// process, and appends route to the tail worker. -preload works in both
+// modes (the coordinator registers through the fleet).
 package main
 
 import (
@@ -73,23 +74,41 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
+	"semandaq/internal/dc"
 	"semandaq/internal/engine"
 	"semandaq/internal/noise"
+	"semandaq/internal/relation"
 	"semandaq/internal/server"
 	"semandaq/internal/wal"
 )
+
+// backend is what the one serving loop below needs from the engine
+// behind the handler — *engine.Engine, or *engine.Coordinator with
+// -cluster. Both replay a WAL, take a journal and install constraint
+// text; only the engine is also a wal.CheckpointSource (the
+// coordinator's log IS its registry, so it never checkpoints) and has
+// spill directories to Close.
+type backend interface {
+	wal.Applier
+	SetJournal(engine.Journal)
+	List() []string
+	InstallConstraints(dataset, text string) (*cfd.Set, error)
+	InstallDCs(dataset, text string) (*dc.Set, error)
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "detection worker pool size (0 = NumCPU, 1 = serial)")
 	shards := flag.Int("shards", 0, "PLI build shard fan-out (0 = GOMAXPROCS, 1 = serial)")
-	preload := flag.Int("preload", 0, "preload a noisy 'cust' dataset of this many tuples")
+	preloadN := flag.Int("preload", 0, "preload a noisy 'cust' dataset of this many tuples")
 	indexBudgetMB := flag.Int64("index-budget-mb", -1, "per-dataset PLI cache budget in MiB (0 = unlimited, -1 = derive from GOMEMLIMIT or total memory)")
 	spillDir := flag.String("spill-dir", "", "directory for tiered index storage: evicted partitions spill to segment files here instead of being discarded (empty = disabled)")
 	workerMode := flag.Bool("worker", false, "run as a cluster worker owning a TID-range slice (logging only; the shard protocol is always mounted)")
@@ -103,36 +122,54 @@ func main() {
 	if err != nil {
 		log.Fatalf("semandaqd: %v", err)
 	}
+	if *cluster != "" && *workerMode {
+		log.Fatal("semandaqd: -worker and -cluster are mutually exclusive")
+	}
 
+	// The two modes differ in what is built here and nowhere below.
+	var (
+		be       backend
+		handler  *server.Server
+		register func(name string, data *relation.Relation) error
+		role     = "semandaqd"
+	)
 	if *cluster != "" {
+		coord, err := newCoordinator(*cluster)
+		if err != nil {
+			log.Fatalf("semandaqd: %v", err)
+		}
+		be, handler = coord, server.NewCoordinator(coord)
+		register = func(name string, data *relation.Relation) error {
+			_, err := coord.Register(name, data)
+			return err
+		}
+		role = fmt.Sprintf("semandaqd coordinator for %d workers", len(coord.Workers()))
+	} else {
+		budget := *indexBudgetMB << 20
+		if *indexBudgetMB < 0 {
+			budget = deriveIndexBudget()
+			if budget > 0 {
+				log.Printf("index budget derived from memory ceiling: %d MiB per dataset (override with -index-budget-mb)", budget>>20)
+			}
+		}
+		eng := engine.New(engine.Options{Workers: *workers, Shards: *shards, IndexBudgetBytes: budget, SpillDir: *spillDir})
+		if *spillDir != "" {
+			log.Printf("tiered index storage under %s", *spillDir)
+		}
+		be, handler = eng, server.New(eng)
+		register = func(name string, data *relation.Relation) error {
+			_, err := eng.Register(name, data)
+			return err
+		}
 		if *workerMode {
-			log.Fatal("semandaqd: -worker and -cluster are mutually exclusive")
-		}
-		runCoordinator(*addr, *cluster, *preload, *dataDir, syncPolicy)
-		return
-	}
-
-	budget := *indexBudgetMB << 20
-	if *indexBudgetMB < 0 {
-		budget = deriveIndexBudget()
-		if budget > 0 {
-			log.Printf("index budget derived from memory ceiling: %d MiB per dataset (override with -index-budget-mb)", budget>>20)
+			role = "semandaqd worker"
 		}
 	}
-	eng := engine.New(engine.Options{Workers: *workers, Shards: *shards, IndexBudgetBytes: budget, SpillDir: *spillDir})
-	if *spillDir != "" {
-		log.Printf("tiered index storage under %s", *spillDir)
-	}
+	checkpoints, _ := be.(wal.CheckpointSource)
 
-	handler := server.New(eng)
 	srv := &http.Server{
 		Handler:           logRequests(handler),
 		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	role := "semandaqd"
-	if *workerMode {
-		role = "semandaqd worker"
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -144,51 +181,41 @@ func main() {
 	if err != nil {
 		log.Fatalf("semandaqd: %v", err)
 	}
-	var mgr *wal.Manager
-	if *dataDir != "" {
-		handler.SetRecovering(true)
-	}
+	handler.SetRecovering(*dataDir != "")
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("%s listening on %s", role, *addr)
 		errCh <- srv.Serve(ln)
 	}()
 
+	var mgr *wal.Manager
 	if *dataDir != "" {
 		start := time.Now()
 		mgr, err = wal.OpenManager(*dataDir, syncPolicy)
 		if err != nil {
 			log.Fatalf("semandaqd: opening data dir: %v", err)
 		}
-		snaps, replayed, err := mgr.Recover(eng)
+		// An engine loads snapshots, then replays the tail; a coordinator
+		// replays its whole log through the fleet, re-partitioning and
+		// re-feeding workers that came back empty.
+		snaps, replayed, err := mgr.Recover(be)
 		if err != nil {
 			log.Fatalf("semandaqd: recovery: %v", err)
 		}
 		// Attach the journal only after replay: a journaling replay
 		// would re-log every record.
-		eng.SetJournal(mgr)
+		be.SetJournal(mgr)
 		handler.SetRecovering(false)
 		log.Printf("recovered %d snapshot(s) + %d WAL record(s) from %s in %s (wal-sync=%s)",
 			snaps, replayed, *dataDir, fmtDuration(time.Since(start)), syncPolicy)
-		if *checkpointEvery > 0 {
-			go checkpointLoop(ctx, mgr, eng, *checkpointEvery)
+		if checkpoints != nil && *checkpointEvery > 0 {
+			go checkpointLoop(ctx, mgr, checkpoints, *checkpointEvery)
 		}
 	}
 
-	if *preload > 0 {
-		// Skip datasets recovery already restored — the durable state,
-		// not the generator, is authoritative across restarts.
-		if _, ok := eng.Get("cust"); !ok {
-			if err := preloadCust(eng, *preload); err != nil {
-				log.Fatalf("semandaqd: preload: %v", err)
-			}
-			log.Printf("preloaded dataset %q with %d tuples and planted constraints", "cust", *preload)
-		}
-		if _, ok := eng.Get("emp"); !ok {
-			if err := preloadEmp(eng, (*preload+9)/10); err != nil {
-				log.Fatalf("semandaqd: preload emp: %v", err)
-			}
-			log.Printf("preloaded dataset %q with %d tuples and the pay-scale denial constraint", "emp", (*preload+9)/10)
+	if *preloadN > 0 {
+		if err := preload(be, register, *preloadN); err != nil {
+			log.Fatalf("semandaqd: preload: %v", err)
 		}
 	}
 
@@ -205,18 +232,23 @@ func main() {
 			log.Fatalf("semandaqd: shutdown: %v", err)
 		}
 		if mgr != nil {
-			// A final checkpoint makes the next startup a pure
-			// snapshot load with an empty tail.
-			if err := mgr.Checkpoint(eng); err != nil {
-				log.Printf("semandaqd: shutdown checkpoint: %v", err)
+			if checkpoints != nil {
+				// A final checkpoint makes the next startup a pure
+				// snapshot load with an empty tail.
+				if err := mgr.Checkpoint(checkpoints); err != nil {
+					log.Printf("semandaqd: shutdown checkpoint: %v", err)
+				}
 			}
 			if err := mgr.Close(); err != nil {
 				log.Printf("semandaqd: closing wal: %v", err)
 			}
 		}
-		// Drop every dataset so per-dataset spill directories (MkdirTemp
-		// under -spill-dir) are removed, not leaked across restarts.
-		eng.Close()
+		// Drop every local dataset so per-dataset spill directories
+		// (MkdirTemp under -spill-dir) are removed, not leaked across
+		// restarts.
+		if c, ok := be.(interface{ Close() }); ok {
+			c.Close()
+		}
 	}
 }
 
@@ -241,12 +273,9 @@ func checkpointLoop(ctx context.Context, mgr *wal.Manager, src wal.CheckpointSou
 	}
 }
 
-// runCoordinator serves the cluster coordinator: the public API backed
-// by the worker fleet at the given comma-separated base URLs. With a
-// data dir the coordinator journals every registry mutation (full rows
-// included) and replays the log through the fleet at startup, re-feeding
-// workers that came back empty.
-func runCoordinator(addr, workerList string, preload int, dataDir string, syncPolicy wal.SyncPolicy) {
+// newCoordinator builds the coordinator over the worker fleet at the
+// given comma-separated base URLs.
+func newCoordinator(workerList string) (*engine.Coordinator, error) {
 	var clients []engine.ShardClient
 	for _, u := range strings.Split(workerList, ",") {
 		u = strings.TrimSpace(u)
@@ -259,109 +288,55 @@ func runCoordinator(addr, workerList string, preload int, dataDir string, syncPo
 		cl.SetRetryPolicy(server.DefaultRetryPolicy())
 		clients = append(clients, cl)
 	}
-	coord, err := engine.NewCoordinator(clients)
-	if err != nil {
-		log.Fatalf("semandaqd: %v", err)
-	}
-
-	handler := server.NewCoordinator(coord)
-	srv := &http.Server{
-		Handler:           logRequests(handler),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("semandaqd: %v", err)
-	}
-	var mgr *wal.Manager
-	if dataDir != "" {
-		handler.SetRecovering(true)
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("semandaqd coordinator for %d workers listening on %s", len(clients), addr)
-		errCh <- srv.Serve(ln)
-	}()
-
-	if dataDir != "" {
-		start := time.Now()
-		mgr, err = wal.OpenManager(dataDir, syncPolicy)
-		if err != nil {
-			log.Fatalf("semandaqd: opening data dir: %v", err)
-		}
-		// The coordinator never checkpoints — its log IS the registry —
-		// so recovery is a pure replay that re-partitions and re-feeds
-		// every dataset through the fleet.
-		_, replayed, err := mgr.Recover(coord)
-		if err != nil {
-			log.Fatalf("semandaqd: cluster recovery: %v", err)
-		}
-		coord.SetJournal(mgr)
-		handler.SetRecovering(false)
-		log.Printf("re-fed %d WAL record(s) through %d workers from %s in %s",
-			replayed, len(clients), dataDir, fmtDuration(time.Since(start)))
-	}
-
-	if preload > 0 {
-		if _, ok := coord.Get("cust"); !ok {
-			if err := preloadCluster(coord, preload); err != nil {
-				log.Fatalf("semandaqd: preload: %v", err)
-			}
-			log.Printf("preloaded datasets %q and %q across %d workers", "cust", "emp", len(clients))
-		}
-	}
-
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("semandaqd: %v", err)
-		}
-	case <-ctx.Done():
-		log.Print("semandaqd coordinator: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Fatalf("semandaqd: shutdown: %v", err)
-		}
-		if mgr != nil {
-			if err := mgr.Close(); err != nil {
-				log.Printf("semandaqd: closing wal: %v", err)
-			}
-		}
-	}
+	return engine.NewCoordinator(clients)
 }
 
-// preloadCluster registers the same demo datasets as single-process
-// preload, range-partitioned across the fleet via the coordinator.
-func preloadCluster(coord *engine.Coordinator, n int) error {
-	clean := datagen.Cust(n, 1)
-	schema := clean.Schema()
-	dirty, _ := noise.Dirty(clean, noise.Options{
-		Rate:  0.05,
-		Attrs: []int{schema.MustIndex("STR"), schema.MustIndex("CT")},
-		Seed:  2,
-	})
-	if _, err := coord.Register("cust", dirty); err != nil {
-		return err
+// preload registers the two demo datasets through the backend — whole
+// on a local engine, range-partitioned across the fleet by a
+// coordinator — skipping those recovery already restored: the durable
+// state, not the generator, is authoritative across restarts.
+func preload(be backend, register func(string, *relation.Relation) error, n int) error {
+	have := be.List()
+	if !slices.Contains(have, "cust") {
+		// The benchmark workload: a noisy cust relation with the
+		// constraints datagen plants in it.
+		clean := datagen.Cust(n, 1)
+		schema := clean.Schema()
+		dirty, _ := noise.Dirty(clean, noise.Options{
+			Rate:  0.05,
+			Attrs: []int{schema.MustIndex("STR"), schema.MustIndex("CT")},
+			Seed:  2,
+		})
+		if err := register("cust", dirty); err != nil {
+			return err
+		}
+		if _, err := be.InstallConstraints("cust", datagen.CustConstraints().String()); err != nil {
+			return err
+		}
+		// The planted (CC, ZIP) → STR rule restated as a denial
+		// constraint: same country and zip must not name different
+		// streets. Detecting it reuses the {CC, ZIP} partition the CFD
+		// detector already cached.
+		if _, err := be.InstallDCs("cust", "dc zipstr: !( t.CC = u.CC & t.ZIP = u.ZIP & t.STR != u.STR )"); err != nil {
+			return err
+		}
+		log.Printf("preloaded dataset %q with %d tuples and planted constraints", "cust", n)
 	}
-	if _, err := coord.InstallConstraints("cust", datagen.CustConstraints().String()); err != nil {
-		return err
+	if !slices.Contains(have, "emp") {
+		// The denial-constraint demo workload: an emp relation with ~1%
+		// planted pay inversions and the pay-scale DC, so /v1/dc/detect
+		// finds violations and /v1/dc/relax has weakenings to rank right
+		// after startup.
+		nEmp := (n + 9) / 10
+		if err := register("emp", datagen.Emp(nEmp, max(nEmp/100, 1), 3)); err != nil {
+			return err
+		}
+		if _, err := be.InstallDCs("emp", datagen.EmpDCText()); err != nil {
+			return err
+		}
+		log.Printf("preloaded dataset %q with %d tuples and the pay-scale denial constraint", "emp", nEmp)
 	}
-	if _, err := coord.InstallDCs("cust", "dc zipstr: !( t.CC = u.CC & t.ZIP = u.ZIP & t.STR != u.STR )"); err != nil {
-		return err
-	}
-	nEmp := (n + 9) / 10
-	violations := nEmp / 100
-	if violations == 0 {
-		violations = 1
-	}
-	if _, err := coord.Register("emp", datagen.Emp(nEmp, violations, 3)); err != nil {
-		return err
-	}
-	_, err := coord.InstallDCs("emp", datagen.EmpDCText())
-	return err
+	return nil
 }
 
 // deriveIndexBudget picks a default per-dataset index budget from the
@@ -406,46 +381,6 @@ func readMemTotal(path string) int64 {
 		return kb << 10
 	}
 	return 0
-}
-
-// preloadCust registers the benchmark workload: a noisy cust relation
-// with the constraints datagen plants in it.
-func preloadCust(eng *engine.Engine, n int) error {
-	clean := datagen.Cust(n, 1)
-	schema := clean.Schema()
-	dirty, _ := noise.Dirty(clean, noise.Options{
-		Rate:  0.05,
-		Attrs: []int{schema.MustIndex("STR"), schema.MustIndex("CT")},
-		Seed:  2,
-	})
-	sess, err := eng.Register("cust", dirty)
-	if err != nil {
-		return err
-	}
-	if err := sess.SetConstraints(datagen.CustConstraints()); err != nil {
-		return err
-	}
-	// The planted (CC, ZIP) → STR rule restated as a denial constraint:
-	// same country and zip must not name different streets. Detecting it
-	// reuses the {CC, ZIP} partition the CFD detector already cached.
-	_, err = eng.InstallDCs("cust", "dc zipstr: !( t.CC = u.CC & t.ZIP = u.ZIP & t.STR != u.STR )")
-	return err
-}
-
-// preloadEmp registers the denial-constraint demo workload: an emp
-// relation with ~1% planted pay inversions and the pay-scale DC, so
-// /v1/dc/detect finds violations and /v1/dc/relax has weakenings to
-// rank right after startup.
-func preloadEmp(eng *engine.Engine, n int) error {
-	violations := n / 100
-	if violations == 0 {
-		violations = 1
-	}
-	if _, err := eng.Register("emp", datagen.Emp(n, violations, 3)); err != nil {
-		return err
-	}
-	_, err := eng.InstallDCs("emp", datagen.EmpDCText())
-	return err
 }
 
 // logRequests is a minimal access-log middleware.

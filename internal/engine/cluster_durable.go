@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"semandaq/internal/cfd"
-	"semandaq/internal/dc"
 	"semandaq/internal/relation"
 	"semandaq/internal/wal"
 )
@@ -31,43 +29,14 @@ func (c *Coordinator) ApplySnapshot(name string, _ *wal.DatasetSnapshot) error {
 
 // ApplyRegister replays a cluster registration: any stale slice a
 // worker still holds (it may have survived the coordinator's crash) is
-// dropped, then every worker is re-fed its range partition of the
-// logged rows — the same even-slices split Register performed.
+// dropped, then Register's own partition re-feeds every worker its
+// range of the logged rows.
 func (c *Coordinator) ApplyRegister(name string, schema *relation.Schema, rows []relation.Tuple) error {
 	for _, cl := range c.clients {
 		_ = cl.Drop(name)
 	}
-	n := len(rows)
-	w := len(c.clients)
-	size, rem := n/w, n%w
-	counts := make([]int, w)
-	slices := make([][]relation.Tuple, w)
-	tid := 0
-	for i := 0; i < w; i++ {
-		hi := tid + size
-		if i < rem {
-			hi++
-		}
-		counts[i] = hi - tid
-		slices[i] = rows[tid:hi]
-		tid = hi
-	}
-	if _, err := c.fanOut(func(w int, cl ShardClient) error {
-		return cl.Register(name, schema, slices[w])
-	}); err != nil {
-		return err
-	}
-	cd := &ClusterDataset{
-		name:   name,
-		schema: schema,
-		counts: counts,
-		cfds:   cfd.NewSet(schema),
-		dcs:    dc.NewSet(schema),
-	}
-	c.mu.Lock()
-	c.datasets[name] = cd
-	c.mu.Unlock()
-	return nil
+	_, err := c.register(name, schema, rows)
+	return err
 }
 
 // ApplyAppend is unexpected: the coordinator journals raw appends.
@@ -87,55 +56,19 @@ func (c *Coordinator) ApplyConfirm(name string, _, _ int) error {
 
 // ApplyConstraints replays a constraint installation on every worker.
 func (c *Coordinator) ApplyConstraints(name, text string) error {
-	cd, ok := c.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
-	set, err := cfd.ParseSet(text, cd.schema)
-	if err != nil {
-		return err
-	}
-	if _, err := c.fanOut(func(_ int, cl ShardClient) error {
-		return cl.InstallConstraints(name, text)
-	}); err != nil {
-		return err
-	}
-	cd.mu.Lock()
-	cd.cfds, cd.cfdText = set, text
-	cd.violations, cd.vioValid = nil, false
-	cd.mu.Unlock()
-	return nil
+	_, err := c.InstallConstraints(name, text)
+	return err
 }
 
 // ApplyDCs replays a denial-constraint installation on every worker.
 func (c *Coordinator) ApplyDCs(name, text string) error {
-	cd, ok := c.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
-	set, err := dc.ParseSet(text, cd.schema)
-	if err != nil {
-		return err
-	}
-	if _, err := c.fanOut(func(_ int, cl ShardClient) error {
-		return cl.InstallDCs(name, text)
-	}); err != nil {
-		return err
-	}
-	cd.mu.Lock()
-	cd.dcs, cd.dcText = set, text
-	cd.mu.Unlock()
-	return nil
+	_, err := c.InstallDCs(name, text)
+	return err
 }
 
 // ApplyDrop replays a dataset drop, tolerating a missing dataset.
 func (c *Coordinator) ApplyDrop(name string) error {
-	c.mu.Lock()
-	delete(c.datasets, name)
-	c.mu.Unlock()
-	for _, cl := range c.clients {
-		_ = cl.Drop(name)
-	}
+	c.Drop(name)
 	return nil
 }
 
@@ -143,20 +76,8 @@ func (c *Coordinator) ApplyDrop(name string) error {
 // incremental-repair path the original took, so the worker ends with
 // the same repaired delta.
 func (c *Coordinator) ApplyAppendRaw(name string, rows [][]string) error {
-	cd, ok := c.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
-	last := len(c.clients) - 1
-	n, err := c.clients[last].Append(name, rows)
-	if err != nil {
-		return err
-	}
-	cd.mu.Lock()
-	cd.counts[last] += n
-	cd.violations, cd.vioValid = nil, false
-	cd.mu.Unlock()
-	return nil
+	_, err := c.Append(name, rows)
+	return err
 }
 
 // DatasetArity resolves the schema arity replay needs to decode rows.

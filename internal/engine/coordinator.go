@@ -325,6 +325,12 @@ func (c *Coordinator) fanOut(fn func(w int, cl ShardClient) error) ([]WorkerCall
 // remainder on the leading shards) and registers each slice. On any
 // failure the already-registered slices are dropped.
 func (c *Coordinator) Register(name string, data *relation.Relation) (*ClusterDataset, error) {
+	return c.register(name, data.Schema(), data.Tuples())
+}
+
+// register is Register over bare rows — the form recovery replays
+// (ApplyRegister). Slices alias rows; clients only read them.
+func (c *Coordinator) register(name string, schema *relation.Schema, rows []relation.Tuple) (*ClusterDataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("engine: dataset name must be non-empty")
 	}
@@ -337,24 +343,18 @@ func (c *Coordinator) Register(name string, data *relation.Relation) (*ClusterDa
 	c.datasets[name] = nil
 	c.mu.Unlock()
 
-	schema := data.Schema()
-	n := data.Len()
 	w := len(c.clients)
-	size, rem := n/w, n%w
+	size, rem := len(rows)/w, len(rows)%w
 	counts := make([]int, w)
 	slices := make([][]relation.Tuple, w)
 	tid := 0
-	for i := 0; i < w; i++ {
-		hi := tid + size
+	for i := range slices {
+		counts[i] = size
 		if i < rem {
-			hi++
+			counts[i]++
 		}
-		counts[i] = hi - tid
-		rows := make([]relation.Tuple, 0, hi-tid)
-		for ; tid < hi; tid++ {
-			rows = append(rows, data.Tuple(tid).Clone())
-		}
-		slices[i] = rows
+		slices[i] = rows[tid : tid+counts[i]]
+		tid += counts[i]
 	}
 	undo := func() {
 		for _, cl := range c.clients {
@@ -376,9 +376,9 @@ func (c *Coordinator) Register(name string, data *relation.Relation) (*ClusterDa
 	// their slices at recovery. A non-durable register is undone (the
 	// workers drop their slices) rather than acked.
 	if j := c.getJournal(); j != nil {
-		if err := j.LogRegister(name, schema, data.Tuples()); err != nil {
+		if err := j.LogRegister(name, schema, rows); err != nil {
 			undo()
-			return nil, fmt.Errorf("engine: journaling register of %q: %w", name, err)
+			return nil, notDurable(fmt.Sprintf("register of %q", name), err)
 		}
 	}
 	cd := &ClusterDataset{
@@ -478,7 +478,7 @@ func (c *Coordinator) InstallConstraints(name, text string) (*cfd.Set, error) {
 	}
 	if j := c.getJournal(); j != nil {
 		if err := j.LogConstraints(name, text); err != nil {
-			return nil, fmt.Errorf("engine: journaling constraints for %q: %w", name, err)
+			return nil, notDurable(fmt.Sprintf("constraints for %q", name), err)
 		}
 	}
 	cd.mu.Lock()
@@ -519,7 +519,7 @@ func (c *Coordinator) InstallDCs(name, text string) (*dc.Set, error) {
 	}
 	if j := c.getJournal(); j != nil {
 		if err := j.LogDCs(name, text); err != nil {
-			return nil, fmt.Errorf("engine: journaling DCs for %q: %w", name, err)
+			return nil, notDurable(fmt.Sprintf("DCs for %q", name), err)
 		}
 	}
 	cd.mu.Lock()
@@ -747,7 +747,7 @@ func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
 	cd.violations, cd.vioValid = nil, false
 	cd.mu.Unlock()
 	if jerr != nil {
-		return 0, fmt.Errorf("engine: journaling append to %q: %w", name, jerr)
+		return 0, notDurable(fmt.Sprintf("append to %q", name), jerr)
 	}
 	return n, nil
 }

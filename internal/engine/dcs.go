@@ -40,7 +40,7 @@ func (s *Session) SetDCs(set *dc.Set) error {
 	}
 	if s.journal != nil {
 		if err := s.journal.LogDCs(s.name, set.String()); err != nil {
-			return fmt.Errorf("engine: journaling DCs: %w", err)
+			return notDurable("DCs", err)
 		}
 	}
 	s.dcs = set
@@ -108,28 +108,7 @@ func (s *Session) RelaxDC(name string, limit int) ([]dc.Weakening, []dc.Violatio
 // CompileConstraints does for CFD sets. Compiled DC sets are shared
 // across sessions and never mutated after installation.
 func (e *Engine) CompileDCs(schema *relation.Schema, text string) (*dc.Set, error) {
-	key := "dc\x00" + schema.String() + "\x00" + text
-	e.mu.RLock()
-	set, ok := e.dcCache[key]
-	e.mu.RUnlock()
-	if ok {
-		return set, nil
-	}
-	set, err := dc.ParseSet(text, schema)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if prior, dup := e.dcCache[key]; dup {
-		set = prior
-	} else {
-		if len(e.dcCache) >= maxCachedSets {
-			e.dcCache = make(map[string]*dc.Set, maxCachedSets)
-		}
-		e.dcCache[key] = set
-	}
-	e.mu.Unlock()
-	return set, nil
+	return compileCached(e, e.dcCache, schema, text, dc.ParseSet)
 }
 
 // InstallDCs compiles DC text and installs the set on the named

@@ -131,13 +131,7 @@ func (e *Engine) ApplyConfirm(name string, tid, attr int) error {
 	if !ok {
 		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkCell(tid, attr); err != nil {
-		return err
-	}
-	s.confirmed[[2]int{tid, attr}] = true
-	return nil
+	return s.Confirm(tid, attr)
 }
 
 // ApplyConstraints replays a constraint installation from canonical

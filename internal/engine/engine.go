@@ -18,7 +18,16 @@ var (
 	ErrDuplicate = errors.New("dataset already registered")
 	// ErrUnknownDataset reports an operation naming no registered dataset.
 	ErrUnknownDataset = errors.New("unknown dataset")
+	// ErrNotDurable reports a mutation refused (or rolled back) because
+	// the journal could not record it: the service's fault, never the
+	// client's, so the HTTP layer answers 500.
+	ErrNotDurable = errors.New("not durable")
 )
+
+// notDurable tags a journal failure while journaling op.
+func notDurable(op string, err error) error {
+	return fmt.Errorf("engine: journaling %s: %w: %w", op, ErrNotDurable, err)
+}
 
 // maxCachedSets bounds the compiled-constraint cache; on overflow the
 // cache is reset wholesale (sessions keep their installed sets — only
@@ -140,7 +149,7 @@ func (e *Engine) Register(name string, data *relation.Relation) (*Session, error
 			e.mu.Lock()
 			delete(e.reserved, name)
 			e.mu.Unlock()
-			return nil, fmt.Errorf("engine: journaling register of %q: %w", name, err)
+			return nil, notDurable(fmt.Sprintf("register of %q", name), err)
 		}
 	}
 	s.journal = journal
@@ -225,27 +234,34 @@ func (e *Engine) List() []string {
 // across sessions and must therefore never be mutated after
 // installation — SetConstraints swaps whole sets, preserving that.
 func (e *Engine) CompileConstraints(schema *relation.Schema, text string) (*cfd.Set, error) {
+	return compileCached(e, e.setCache, schema, text, cfd.ParseSet)
+}
+
+// compileCached is the (schema, text)-keyed compile cache behind
+// CompileConstraints and CompileDCs.
+func compileCached[S any](e *Engine, cache map[string]*S, schema *relation.Schema, text string,
+	parse func(string, *relation.Schema) (*S, error)) (*S, error) {
 	key := schema.String() + "\x00" + text
 	e.mu.RLock()
-	set, ok := e.setCache[key]
+	set, ok := cache[key]
 	e.mu.RUnlock()
 	if ok {
 		return set, nil
 	}
-	set, err := cfd.ParseSet(text, schema)
+	set, err := parse(text, schema)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	// Another request may have compiled the same text while we parsed;
 	// keep the first so every session shares one instance.
-	if prior, dup := e.setCache[key]; dup {
+	if prior, dup := cache[key]; dup {
 		set = prior
 	} else {
-		if len(e.setCache) >= maxCachedSets {
-			e.setCache = make(map[string]*cfd.Set, maxCachedSets)
+		if len(cache) >= maxCachedSets {
+			clear(cache)
 		}
-		e.setCache[key] = set
+		cache[key] = set
 	}
 	e.mu.Unlock()
 	return set, nil

@@ -54,8 +54,7 @@ type Session struct {
 	indexes *relation.IndexCache
 
 	// spill, when set, is the session's tiered-storage home: the index
-	// cache demotes budget-evicted PLIs into it (SetSpill) and
-	// SpillColumns demotes the dataset's code columns. Owned by the
+	// cache demotes budget-evicted PLIs into it (SetSpill). Owned by the
 	// engine, which removes the directory when the dataset is dropped.
 	spill *relation.SpillStore
 
@@ -180,7 +179,7 @@ func (s *Session) SetConstraints(set *cfd.Set) error {
 		// same parser, and canonical text round-trips for every set
 		// (including discovery-installed ones that never had user text).
 		if err := s.journal.LogConstraints(s.name, set.String()); err != nil {
-			return fmt.Errorf("engine: journaling constraints: %w", err)
+			return notDurable("constraints", err)
 		}
 	}
 	s.set = set
@@ -269,9 +268,8 @@ func (s *Session) SetShards(n int) { s.indexes.SetShards(n) }
 
 // SetSpill attaches a spill store to the session: budget evictions of
 // clean cached PLIs demote to segment files in it and page back in via
-// read-only mmap instead of rebuilding (relation.IndexCache.SetSpill),
-// and SpillColumns demotes the dataset's code columns there. Attach
-// right after NewSession, before the session serves traffic.
+// read-only mmap instead of rebuilding (relation.IndexCache.SetSpill).
+// Attach right after NewSession, before the session serves traffic.
 func (s *Session) SetSpill(store *relation.SpillStore) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,19 +286,6 @@ func (s *Session) SpillDir() string {
 		return ""
 	}
 	return s.spill.Dir()
-}
-
-// SpillColumns demotes the dataset's int32 code columns to mapped
-// segment files, freeing their heap copies; reads are untouched and the
-// next Edit/Append transparently re-materializes the written column
-// (relation.Relation.SpillColumns). Returns the heap bytes released.
-func (s *Session) SpillColumns() (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.spill == nil {
-		return 0, fmt.Errorf("engine: session %q has no spill store configured", s.name)
-	}
-	return s.data.SpillColumns(s.spill)
 }
 
 // IndexResidentBytes returns the heap bytes currently pinned by the
@@ -382,7 +367,7 @@ func (s *Session) journalChanges(changes []repair.Change) error {
 		return nil
 	}
 	if err := s.journal.LogCells(s.name, changeCells(changes), false); err != nil {
-		return fmt.Errorf("engine: journaling repair commit: %w", err)
+		return notDurable("repair commit", err)
 	}
 	return nil
 }
@@ -431,7 +416,7 @@ func (s *Session) Edit(tid, attr int, v relation.Value) error {
 		// (replay's Set applies the same kind coercion), so a journal
 		// failure leaves the session untouched.
 		if err := s.journal.LogCells(s.name, []wal.CellWrite{{TID: tid, Attr: attr, Value: v}}, true); err != nil {
-			return fmt.Errorf("engine: journaling edit: %w", err)
+			return notDurable("edit", err)
 		}
 	}
 	s.data.Set(tid, attr, v)
@@ -453,7 +438,7 @@ func (s *Session) Confirm(tid, attr int) error {
 	}
 	if s.journal != nil {
 		if err := s.journal.LogConfirm(s.name, tid, attr); err != nil {
-			return fmt.Errorf("engine: journaling confirm: %w", err)
+			return notDurable("confirm", err)
 		}
 	}
 	s.confirmed[[2]int{tid, attr}] = true
@@ -554,7 +539,7 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 		}
 		if err := s.journal.LogAppend(s.name, rows); err != nil {
 			s.data.Truncate(base)
-			return nil, fmt.Errorf("engine: journaling append: %w", err)
+			return nil, notDurable("append", err)
 		}
 	}
 	s.mutated()

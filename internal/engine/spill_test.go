@@ -36,8 +36,7 @@ func countSegFiles(t *testing.T, dir string) int {
 // TestEngineSpillLifecycle walks the full engine-level tier: Register
 // under a SpillDir creates a per-dataset directory, a tiny index budget
 // turns evictions into segment-file demotions, pages-ins revive them
-// without rebuilds, SpillColumns demotes the base columns too, and Drop
-// removes the dataset's directory wholesale.
+// without rebuilds, and Drop removes the dataset's directory wholesale.
 func TestEngineSpillLifecycle(t *testing.T) {
 	if !relation.MmapSupported() {
 		t.Skip("no mmap on this platform")
@@ -84,14 +83,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 		t.Fatalf("warm detect paged nothing in: %+v", st2)
 	}
 
-	freed, err := s.SpillColumns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freed <= 0 {
-		t.Fatalf("SpillColumns freed %d bytes", freed)
-	}
-	// Detection over mapped columns must still agree with a cold pass.
+	// Detection over paged-in partitions must still agree with a cold pass.
 	got, err := s.Detect()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +93,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("detect over spilled columns diverges: %d vs %d violations", len(got), len(want))
+		t.Fatalf("detect over paged-in partitions diverges: %d vs %d violations", len(got), len(want))
 	}
 
 	if !e.Drop("spill-ds") {

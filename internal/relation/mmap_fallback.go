@@ -20,11 +20,3 @@ func (m *Mapping) holdsInt32(s []int32) bool { return false }
 func openPLISegment(path string) (*pliSegData, error) {
 	return readPLISegmentHeap(path)
 }
-
-// openColumnSegment decodes a column segment onto the heap. The nil
-// mapping tells Relation.SpillColumns there is nothing to gain from
-// swapping the resident codes for the decoded copy.
-func openColumnSegment(path string) ([]int32, *Mapping, error) {
-	codes, err := readColumnSegmentHeap(path)
-	return codes, nil, err
-}

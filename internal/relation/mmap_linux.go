@@ -11,20 +11,19 @@ import (
 )
 
 // Mapping is a read-only mmap of a segment file. The int/int32 views
-// handed out by openPLISegment/openColumnSegment point straight into
-// the mapped pages — no copy, no decode — which is what makes paging a
-// demoted index back in O(1): the kernel faults pages lazily and may
-// reclaim them under memory pressure, so a mapped index costs page
-// cache, not Go heap. Writing through the views would fault (PROT_READ)
-// — any mutation path (patch drains, appends into spans) must
-// materialize heap copies first (PLI.materializeLocked, column
-// materialize).
+// handed out by openPLISegment point straight into the mapped pages —
+// no copy, no decode — which is what makes paging a demoted index back
+// in O(1): the kernel faults pages lazily and may reclaim them under
+// memory pressure, so a mapped index costs page cache, not Go heap.
+// Writing through the views would fault (PROT_READ) — any mutation path
+// (patch drains, appends into spans) must materialize heap copies first
+// (PLI.materializeLocked).
 //
 // Lifetime: the mapping is unmapped by a finalizer once nothing
 // references it. Views into the mapping do NOT keep it alive on their
 // own (mapped pages are not Go heap, so the GC does not trace them);
-// the adopting PLI/column keeps the *Mapping in a field, and readers
-// keep the PLI/relation alive for as long as they hold slices from it —
+// the adopting PLI keeps the *Mapping in a field, and readers keep the
+// PLI alive for as long as they hold slices from it —
 // the documented aliasing rule for Group/Lookup results already
 // requires exactly that. Unlinking a mapped file is safe on Linux: the
 // pages stay valid until the last munmap.
@@ -131,20 +130,4 @@ func openPLISegment(path string) (*pliSegData, error) {
 		shardEnds:  decodeIntSection(m.data, seOff, h.numShards),
 		seg:        m,
 	}, nil
-}
-
-// openColumnSegment opens a column segment with a zero-copy mapped view
-// of the code array. A nil mapping return (only on the fallback build)
-// tells the caller spilling gains nothing on this platform.
-func openColumnSegment(path string) ([]int32, *Mapping, error) {
-	m, err := mapFile(path)
-	if err != nil {
-		codes, rerr := readColumnSegmentHeap(path)
-		return codes, nil, rerr
-	}
-	n, err := parseColSegHeader(m.data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return castInt32s(m.data, colSegHeaderSize, n), m, nil
 }

@@ -35,13 +35,6 @@ type column struct {
 	patchLog []CellPatch
 	patchSeq uint64
 
-	// seg is non-nil while codes is a zero-copy view into a read-only
-	// mapped segment file (Relation.SpillColumns) — the tiered-storage
-	// demoted state. Reads are untouched; every write path materializes
-	// a heap copy first (see materialize). The field anchors the
-	// mapping's lifetime for as long as the view is live.
-	seg *Mapping
-
 	// Lazily computed rank cache: ranks[code] is the code's position in
 	// the lexicographic order of the encs. Valid while ranksLen equals
 	// len(values) — codes are append-only and their keys immutable, so
@@ -74,19 +67,6 @@ func maxPatchLogFor(n int) int {
 
 func newColumn() *column {
 	return &column{dict: make(map[string]int32)}
-}
-
-// materialize replaces a mapped code view with a heap copy and drops
-// the mapping anchor — called by every column write path (Set rewrites
-// cells in place; Insert appends, and a mapped view's spare capacity,
-// if it ever had any, must never be written). No-op for resident
-// columns, so the write paths pay one nil check.
-func (c *column) materialize() {
-	if c.seg == nil {
-		return
-	}
-	c.codes = append([]int32(nil), c.codes...)
-	c.seg = nil // unmapped by the mapping finalizer once unreferenced
 }
 
 func (c *column) clone() *column {
@@ -232,7 +212,6 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 	r.tuples = append(r.tuples, t)
 	for i, v := range t {
 		c := r.cols[i]
-		c.materialize()
 		// Appends deliberately leave c.version alone: no existing code
 		// changed, and PLIs detect growth through the length watermark
 		// (and absorb it incrementally, see PLI.Advance).
@@ -280,7 +259,6 @@ func (r *Relation) InsertUnchecked(t Tuple) int {
 	r.tuples = append(r.tuples, t)
 	for i, v := range t {
 		c := r.cols[i]
-		c.materialize()
 		c.codes = append(c.codes, r.intern(i, v))
 	}
 	r.version++
@@ -337,7 +315,6 @@ func (r *Relation) Set(tid, attr int, v Value) {
 	if c.codes[tid] == code {
 		return
 	}
-	c.materialize() // the cell write below must never hit a mapping
 	old := c.codes[tid]
 	c.codes[tid] = code
 	if len(c.patchLog) >= maxPatchLogFor(len(c.codes)) {
@@ -587,7 +564,6 @@ func (r *Relation) applyPermutation(perm []int) {
 			codes[i] = c.codes[p]
 		}
 		c.codes = codes
-		c.seg = nil // the fresh permuted array replaced any mapped view
 		c.version++
 		c.patchLog = nil // TIDs renumbered; journaled patches are meaningless
 	}

@@ -10,8 +10,8 @@ import (
 // Segment files are the on-disk unit of the tiered storage layer: a
 // clean, compacted PLI's flat storage (tids/offsets/tidGroup) plus its
 // TID-range shard layout (shardWidth/shardEnds — see shard.go) written
-// as fixed-width little-endian arrays, and likewise a column's int32
-// code array. Everything in a segment is immutable by construction:
+// as fixed-width little-endian arrays. Everything in a segment is
+// immutable by construction:
 // interior shards never change across appends (only the tail watermark
 // moves) and `Set` journals patches instead of rewriting codes, so a
 // segment stays byte-valid until the column is hard-invalidated — the
@@ -36,19 +36,9 @@ import (
 //	[..:..)  tids       int64[lenTids]     (8-aligned)
 //	[..:..)  offsets    int32[numOffsets]
 //	[..:..)  tidGroup   int32[lenTidGrp]
-//
-// Column segment layout:
-//
-//	[0:8)    magic "SMDQCOL1"
-//	[8:16)   n      int64
-//	[16:24)  reserved int64 (zero)
-//	[24:..)  codes  int32[n]
 const (
-	pliSegMagic = "SMDQPLI1"
-	colSegMagic = "SMDQCOL1"
-
+	pliSegMagic      = "SMDQPLI1"
 	pliSegHeaderSize = 64
-	colSegHeaderSize = 24
 )
 
 // pliSegHeader is the decoded fixed header of a PLI segment file.
@@ -143,32 +133,6 @@ func writePLISegment(path string, p *PLI) (int64, error) {
 	return hdrCopy.fileSize(), nil
 }
 
-// writeColumnSegment writes one column's code array to path.
-func writeColumnSegment(path string, codes []int32) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var hdr [colSegHeaderSize]byte
-	copy(hdr[:8], colSegMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(codes)))
-	_, err = w.Write(hdr[:])
-	if err == nil {
-		err = writeInt32Section(w, codes)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-	}
-	return err
-}
-
 func writeIntSection(w *bufio.Writer, s []int) error {
 	var buf [8]byte
 	for _, v := range s {
@@ -244,28 +208,4 @@ func readPLISegmentHeap(path string) (*pliSegData, error) {
 		shardWidth: int(h.shardWidth),
 		shardEnds:  decodeIntSection(b, seOff, h.numShards),
 	}, nil
-}
-
-// readColumnSegmentHeap decodes a column segment file onto the heap.
-func readColumnSegmentHeap(path string) ([]int32, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	n, err := parseColSegHeader(b)
-	if err != nil {
-		return nil, err
-	}
-	return decodeInt32Section(b, colSegHeaderSize, n), nil
-}
-
-func parseColSegHeader(b []byte) (int64, error) {
-	if len(b) < colSegHeaderSize || string(b[:8]) != colSegMagic {
-		return 0, fmt.Errorf("relation: not a column segment file")
-	}
-	n := int64(binary.LittleEndian.Uint64(b[8:]))
-	if n < 0 || int64(len(b)) != colSegHeaderSize+4*n {
-		return 0, fmt.Errorf("relation: corrupt column segment (n=%d size=%d)", n, len(b))
-	}
-	return n, nil
 }

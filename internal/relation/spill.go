@@ -10,12 +10,11 @@ import (
 
 // SpillStore hands out segment-file paths under one directory — the
 // per-dataset home of everything the tiered storage layer demotes
-// (clean PLIs under budget pressure, column code arrays via
-// Relation.SpillColumns). Files are written once and never rewritten;
-// superseded files are unlinked, which on Linux is safe even while a
-// reader still holds a mapping of them. The store never deletes its
-// directory itself — the engine removes it wholesale when the dataset
-// is dropped.
+// (clean PLIs under budget pressure). Files are written once and never
+// rewritten; superseded files are unlinked, which on Linux is safe even
+// while a reader still holds a mapping of them. The store never deletes
+// its directory itself — the engine removes it wholesale when the
+// dataset is dropped.
 type SpillStore struct {
 	dir string
 	seq atomic.Uint64
@@ -138,46 +137,6 @@ func loadPLISegment(rec *spillRecord) (*PLI, error) {
 }
 
 // MmapSupported reports whether this build pages segments back in
-// zero-copy (and hence whether SpillColumns does anything). Exposed so
-// callers and tests can gate spill-dependent behavior per platform.
+// zero-copy. Exposed so callers and tests can gate spill-dependent
+// behavior per platform.
 func MmapSupported() bool { return mmapSupported }
-
-// SpillColumns demotes every column's int32 code array to a segment
-// file read back as a zero-copy mapped view, freeing the heap copies.
-// Dictionaries (dict/values/encs) stay resident: they are O(distinct)
-// — orders of magnitude smaller than the O(rows) code arrays — and
-// every write-path intern probes them. Reads are untouched (codes are
-// read-only on every index/detect path); the first Set or Insert on a
-// spilled column transparently materializes a heap copy again (see
-// column.materialize), so correctness never depends on spill state.
-// Returns the heap bytes released. Callers must hold the relation's
-// write exclusivity, like any other mutation. On platforms without
-// mmap support this is a no-op: swapping a heap array for a heap decode
-// frees nothing.
-func (r *Relation) SpillColumns(store *SpillStore) (int64, error) {
-	if !mmapSupported {
-		return 0, nil
-	}
-	var freed int64
-	for a, c := range r.cols {
-		if c.seg != nil || len(c.codes) == 0 {
-			continue
-		}
-		path := store.NewPath(fmt.Sprintf("col%d", a))
-		if err := writeColumnSegment(path, c.codes); err != nil {
-			return freed, err
-		}
-		codes, seg, err := openColumnSegment(path)
-		if err != nil || seg == nil || len(codes) != len(c.codes) {
-			store.Remove(path)
-			if err != nil {
-				return freed, err
-			}
-			continue
-		}
-		freed += int64(len(c.codes)) * 4
-		c.codes = codes
-		c.seg = seg
-	}
-	return freed, nil
-}

@@ -174,71 +174,6 @@ func countFiles(t *testing.T, dir string) int {
 	return len(ents)
 }
 
-// TestColumnSpillRoundTrip covers Relation.SpillColumns: spilled code
-// arrays read back identically (indexes built over mapped columns are
-// byte-identical to pre-spill builds), and the write paths — Set with
-// its patch journal, Insert appends — transparently materialize heap
-// copies again.
-func TestColumnSpillRoundTrip(t *testing.T) {
-	r := randomMixedRelation(t, 7, 400)
-	want := make([][]int32, 4)
-	for a := range want {
-		want[a] = append([]int32(nil), r.ColumnCodes(a)...)
-	}
-	ref := BuildPLI(r, []int{0, 2, 3})
-	store, err := NewSpillStore(filepath.Join(t.TempDir(), "cols"))
-	if err != nil {
-		t.Fatalf("store: %v", err)
-	}
-	freed, err := r.SpillColumns(store)
-	if err != nil {
-		t.Fatalf("SpillColumns: %v", err)
-	}
-	if mmapSupported && freed == 0 {
-		t.Fatalf("expected spilled column bytes on this platform")
-	}
-	for a := range want {
-		codes := r.ColumnCodes(a)
-		if len(codes) != len(want[a]) {
-			t.Fatalf("col %d: length changed", a)
-		}
-		for i := range codes {
-			if codes[i] != want[a][i] {
-				t.Fatalf("col %d: codes[%d] = %d, want %d", a, i, codes[i], want[a][i])
-			}
-		}
-	}
-	samePLI(t, "post-spill build", r, BuildPLI(r, []int{0, 2, 3}), ref)
-
-	// Writes after the spill: Set journals patches against materialized
-	// heap codes, Insert appends, and the cache catch-up path stays
-	// rebuild-free — the full dirty-append discipline on spilled columns.
-	cache := NewIndexCache()
-	for _, attrs := range [][]int{{0}, {1, 2}, {0, 2, 3}} {
-		cache.Get(r, attrs)
-	}
-	builds := cache.Stats().Misses
-	rng := rand.New(rand.NewSource(99))
-	for k := 0; k < 10; k++ {
-		tid, attr := rng.Intn(r.Len()), rng.Intn(4)
-		r.Set(tid, attr, randomPatchValue(rng, attr))
-	}
-	appendRandomRows(t, r, rng, 25)
-	for _, attrs := range [][]int{{0}, {1, 2}, {0, 2, 3}} {
-		ctx := fmt.Sprintf("post-spill mutation attrs %v", attrs)
-		samePLI(t, ctx, r, cache.Get(r, attrs), BuildPLI(r, attrs))
-	}
-	if st := cache.Stats(); st.Misses != builds {
-		t.Fatalf("mutating spilled columns cost %d rebuilds", st.Misses-builds)
-	}
-	// A second spill after the mutations demotes the re-materialized
-	// columns again.
-	if _, err := r.SpillColumns(store); err != nil {
-		t.Fatalf("re-spill: %v", err)
-	}
-	samePLI(t, "re-spilled build", r, BuildPLI(r, []int{0, 2, 3}), BuildPLI(r.Clone(), []int{0, 2, 3}))
-}
-
 // TestSpillDemotePageInConcurrent hammers a starvation-budget cache
 // with concurrent readers while a writer interleaves exclusive append
 // and patch rounds — the session locking discipline — so demotions and

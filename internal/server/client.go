@@ -22,7 +22,7 @@ import (
 )
 
 // RetryPolicy bounds the client's retries of IDEMPOTENT worker calls
-// (shard detect, boundary-group fetch, shard DC detect, health).
+// (shard detect, boundary-group fetch, shard DC detect).
 // Register, append, install and drop are never retried: their effects
 // are not idempotent (a duplicated append double-ingests), so they
 // stay at-most-once and the coordinator's durability layer owns their
@@ -160,19 +160,13 @@ func (c *HTTPShardClient) backoff(p RetryPolicy, attempt int) time.Duration {
 	return time.Duration(c.rng.Int63n(int64(d)) + 1)
 }
 
-// call runs callOnce; callRetry wraps it with the bounded-retry loop
-// for idempotent endpoints.
-func (c *HTTPShardClient) call(method, path string, body, out any) error {
-	return c.callOnce(method, path, body, out)
-}
-
 // callRetry is the idempotent-call path: bounded retries with jittered
 // exponential backoff on transport faults and 5xx replies.
 func (c *HTTPShardClient) callRetry(method, path string, body, out any) error {
 	p := c.getPolicy()
 	var err error
 	for attempt := 1; ; attempt++ {
-		err = c.callOnce(method, path, body, out)
+		err = c.call(method, path, body, out)
 		if err == nil || attempt >= p.MaxAttempts || !retryable(err) {
 			return err
 		}
@@ -181,10 +175,10 @@ func (c *HTTPShardClient) callRetry(method, path string, body, out any) error {
 	}
 }
 
-// callOnce POSTs (or DELETEs) a JSON body and decodes the JSON
+// call POSTs (or DELETEs) a JSON body once and decodes the JSON
 // response into out (out nil discards it). Non-2xx responses surface
 // the worker's structured error message.
-func (c *HTTPShardClient) callOnce(method, path string, body, out any) error {
+func (c *HTTPShardClient) call(method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -228,11 +222,6 @@ func (c *HTTPShardClient) callOnce(method, path string, body, out any) error {
 		return c.fail(err)
 	}
 	return nil
-}
-
-// Health checks the worker's liveness probe (idempotent: retried).
-func (c *HTTPShardClient) Health() error {
-	return c.callRetry(http.MethodGet, "/healthz", nil, nil)
 }
 
 // Register ships a TID-range slice as exact encoded tuples.

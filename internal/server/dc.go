@@ -1,13 +1,12 @@
 package server
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"time"
 
 	"semandaq/internal/dc"
-	"semandaq/internal/engine"
 )
 
 // Denial-constraint endpoints (see internal/dc): install a DC set next
@@ -26,17 +25,12 @@ type dcsRequest struct {
 
 func (s *Server) handleDCs(w http.ResponseWriter, r *http.Request) {
 	var req dcsRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	set, err := s.eng.InstallDCs(req.Dataset, req.DCs)
+	set, err := s.be.InstallDCs(req.Dataset, req.DCs)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, engine.ErrUnknownDataset) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
+		writeEngineError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"installed": set.Len()})
@@ -48,11 +42,11 @@ type dcJSON struct {
 }
 
 func (s *Server) handleDCList(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r.PathValue("name"))
+	ds, ok := s.dataset(w, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	all := sess.DCs().All()
+	all := ds.DCs().All()
 	out := make([]dcJSON, len(all))
 	for i, d := range all {
 		out[i] = dcJSON{Name: d.Name(), Constraint: d.String()}
@@ -77,16 +71,19 @@ type dcReportJSON struct {
 
 func (s *Server) handleDCDetect(w http.ResponseWriter, r *http.Request) {
 	var req dcDetectRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	sess, ok := s.session(w, req.Dataset)
+	ds, ok := s.dataset(w, req.Dataset)
 	if !ok {
 		return
 	}
 	start := time.Now()
-	reports := sess.DetectDCs(req.Limit)
+	reports, extra, err := ds.detectDCs(req.Limit)
+	if err != nil {
+		writeEngineError(w, err, http.StatusInternalServerError)
+		return
+	}
 	out := make([]dcReportJSON, len(reports))
 	total := 0
 	for i, rep := range reports {
@@ -100,11 +97,13 @@ func (s *Server) handleDCDetect(w http.ResponseWriter, r *http.Request) {
 		}
 		total += len(rep.Violations)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	resp := map[string]any{
 		"count":      total,
 		"reports":    out,
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}
+	maps.Copy(resp, extra)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 type dcRelaxRequest struct {
@@ -126,8 +125,7 @@ type weakeningJSON struct {
 
 func (s *Server) handleDCRelax(w http.ResponseWriter, r *http.Request) {
 	var req dcRelaxRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)

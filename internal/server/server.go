@@ -25,15 +25,21 @@
 //	GET    /v1/stats                       per-endpoint request counters + latency
 //	POST   /v1/shard/*                     worker half of scatter-gather detection (shard.go)
 //
-// The coordinator handler over a worker fleet is NewCoordinator
-// (coordinator.go); it serves the same public surface by fanning out to
-// these workers and merging.
+// There is one Server, one route table and one handler per route. New
+// serves a local engine, NewCoordinator a worker fleet; the handlers
+// reach either through the backend interface (backend.go), and what
+// differs between the modes is derived from what the backend can do:
+// /v1/repair, /v1/edit and /v1/dc/relax need engine sessions and answer
+// 501 over a coordinator, /v1/shard/* is mounted only beside a local
+// engine, and a coordinator adds residual / workers / degraded /
+// failed_workers / shards keys to the responses the local path builds.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -41,7 +47,6 @@ import (
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
-	"semandaq/internal/discovery"
 	"semandaq/internal/engine"
 	"semandaq/internal/noise"
 	"semandaq/internal/relation"
@@ -51,8 +56,12 @@ import (
 // maxBodyBytes bounds request bodies (inline CSV uploads included).
 const maxBodyBytes = 64 << 20
 
-// Server is the HTTP front end over an engine.
+// Server is the HTTP front end over a local engine or a cluster
+// coordinator.
 type Server struct {
+	be backend
+	// eng is the local engine behind be, nil over a coordinator: the
+	// capability the session-level handlers (localOnly, shard.go) need.
 	eng   *engine.Engine
 	mux   *http.ServeMux
 	stats *serverStats
@@ -67,12 +76,29 @@ type Server struct {
 // SetRecovering flips the startup recovery gate.
 func (s *Server) SetRecovering(v bool) { s.recovering.Store(v) }
 
-// Recovering reports whether the gate is up.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
-// New builds the handler around an engine.
+// New builds the handler around a local engine. Every such server also
+// mounts the worker half of the shard protocol (shard.go).
 func New(eng *engine.Engine) *Server {
-	s := &Server{eng: eng, mux: http.NewServeMux(), stats: newServerStats()}
+	s := newServer(localBackend{eng}, eng)
+	s.mux.HandleFunc("POST /v1/shard/register", s.handleShardRegister)
+	s.mux.HandleFunc("POST /v1/shard/detect", s.handleShardDetect)
+	s.mux.HandleFunc("POST /v1/shard/groups", s.handleShardGroups)
+	s.mux.HandleFunc("POST /v1/shard/dc", s.handleShardDC)
+	return s
+}
+
+// NewCoordinator builds the handler over a worker fleet: the same
+// public surface, served by fanning requests out through the
+// coordinator and merging shard results (byte-identical to
+// single-process detection; see internal/cfd/scatter.go).
+func NewCoordinator(coord *engine.Coordinator) *Server {
+	return newServer(clusterBackend{coord}, nil)
+}
+
+// newServer mounts the public route table — the one place a route is
+// added (TestRouteParity walks it in both modes).
+func newServer(be backend, eng *engine.Engine) *Server {
+	s := &Server{be: be, eng: eng, mux: http.NewServeMux(), stats: newServerStats()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleList)
@@ -81,20 +107,30 @@ func New(eng *engine.Engine) *Server {
 	s.mux.HandleFunc("GET /v1/datasets/{name}/violations", s.handleViolations)
 	s.mux.HandleFunc("POST /v1/constraints", s.handleConstraints)
 	s.mux.HandleFunc("POST /v1/detect", s.handleDetect)
-	s.mux.HandleFunc("POST /v1/repair", s.handleRepair)
+	s.mux.HandleFunc("POST /v1/repair", s.localOnly(s.handleRepair))
 	s.mux.HandleFunc("POST /v1/repair/incremental", s.handleRepairIncremental)
 	s.mux.HandleFunc("POST /v1/discover", s.handleDiscover)
-	s.mux.HandleFunc("POST /v1/edit", s.handleEdit)
+	s.mux.HandleFunc("POST /v1/edit", s.localOnly(s.handleEdit))
 	s.mux.HandleFunc("POST /v1/dcs", s.handleDCs)
 	s.mux.HandleFunc("GET /v1/datasets/{name}/dcs", s.handleDCList)
 	s.mux.HandleFunc("POST /v1/dc/detect", s.handleDCDetect)
-	s.mux.HandleFunc("POST /v1/dc/relax", s.handleDCRelax)
+	s.mux.HandleFunc("POST /v1/dc/relax", s.localOnly(s.handleDCRelax))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/shard/register", s.handleShardRegister)
-	s.mux.HandleFunc("POST /v1/shard/detect", s.handleShardDetect)
-	s.mux.HandleFunc("POST /v1/shard/groups", s.handleShardGroups)
-	s.mux.HandleFunc("POST /v1/shard/dc", s.handleShardDC)
 	return s
+}
+
+// localOnly guards a handler that needs whole-dataset access to engine
+// sessions — batch repair, cell edits, DC relaxation. A backend that
+// holds no tuple data answers 501 rather than silently computing a
+// shard-incoherent result.
+func (s *Server) localOnly(h http.HandlerFunc) http.HandlerFunc {
+	if s.eng != nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotImplemented,
+			fmt.Errorf("%s is not available in cluster mode; run a single-process semandaqd for whole-dataset repair and edits", r.URL.Path))
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -108,10 +144,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	out := map[string]any{
 		"endpoints":        s.stats.snapshot(),
 		"recovery_rejects": s.stats.recoveryRejects(),
-	})
+	}
+	if f, ok := s.be.(fleet); ok {
+		out["workers"] = f.WorkerStats()
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // --- encoding helpers ---
@@ -132,27 +172,69 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
+// decode reads the JSON request body into v, answering 400 (and
+// returning false) when it is malformed or names an unknown field.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
-// session resolves the dataset named in a request body.
-func (s *Server) session(w http.ResponseWriter, name string) (*engine.Session, bool) {
+// badRequest marks an error a backend found in the request itself, so
+// writeEngineError answers 400 whatever the route's fallback.
+type badRequest struct{ error }
+
+// writeEngineError is the one error→status mapping: a worker's
+// deliberate 4xx relays as-is, an unreachable or broken worker is 502,
+// unknown datasets 404, duplicates 409, and a journal failure is the
+// service's fault (500), never the client's; anything else gets the
+// route's fallback.
+func writeEngineError(w http.ResponseWriter, err error, fallback int) {
+	var wse *workerStatusError
+	code := fallback
+	switch {
+	case errors.As(err, &wse) && wse.Status < 500:
+		code = wse.Status
+	case errors.Is(err, engine.ErrWorker):
+		code = http.StatusBadGateway
+	case errors.Is(err, engine.ErrNotDurable):
+		code = http.StatusInternalServerError
+	case errors.Is(err, engine.ErrUnknownDataset):
+		code = http.StatusNotFound
+	case errors.Is(err, engine.ErrDuplicate):
+		code = http.StatusConflict
+	case errors.As(err, &badRequest{}):
+		code = http.StatusBadRequest
+	}
+	writeError(w, code, err)
+}
+
+// dataset resolves the dataset named in a request.
+func (s *Server) dataset(w http.ResponseWriter, name string) (dataset, bool) {
 	if name == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing dataset name"))
 		return nil, false
 	}
-	sess, ok := s.eng.Get(name)
+	ds, ok := s.be.get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return nil, false
 	}
-	return sess, true
+	return ds, true
+}
+
+// session resolves a dataset to its engine session, for the handlers
+// only a local backend mounts.
+func (s *Server) session(w http.ResponseWriter, name string) (*engine.Session, bool) {
+	ds, ok := s.dataset(w, name)
+	if !ok {
+		return nil, false
+	}
+	return ds.(localDataset).Session, true
 }
 
 // --- JSON shapes ---
@@ -182,12 +264,16 @@ type datasetJSON struct {
 	// demotions of clean partitions to segment files in place of
 	// evictions, and pageins counts the mmap-backed revivals that made
 	// the next touch rebuild-free.
-	IndexCache relation.CacheStats `json:"index_cache"`
+	IndexCache *relation.CacheStats `json:"index_cache,omitempty"`
 	// IndexResidentBytes is the cache's current heap-resident byte
 	// estimate — the quantity the -index-budget-mb budget bounds. Paged-
 	// in (mmap-backed) partitions cost almost nothing here; the gap
 	// between this and the logical index size is what tiering bought.
-	IndexResidentBytes int64 `json:"index_resident_bytes"`
+	IndexResidentBytes *int64 `json:"index_resident_bytes,omitempty"`
+	// Shards are the per-worker tuple counts in TID-range order, on a
+	// coordinator (which holds no index of its own: the two fields above
+	// are the local backend's).
+	Shards []int `json:"shards,omitempty"`
 }
 
 type violationJSON struct {
@@ -244,23 +330,37 @@ func repairResponse(schema *relation.Schema, res *repair.Result, accepted bool) 
 	return out
 }
 
-func datasetInfo(sess *engine.Session) datasetJSON {
-	return datasetJSON{
-		Name:        sess.Name(),
-		Tuples:      sess.Len(),
-		Schema:      sess.Schema().String(),
-		Constraints: sess.Constraints().Len(),
-		DCs:         sess.DCs().Len(),
-		IndexCache:  sess.IndexStats(),
-
-		IndexResidentBytes: sess.IndexResidentBytes(),
+func datasetInfo(ds dataset) datasetJSON {
+	out := datasetJSON{
+		Name:        ds.Name(),
+		Tuples:      ds.Len(),
+		Schema:      ds.Schema().String(),
+		Constraints: ds.Constraints().Len(),
+		DCs:         ds.DCs().Len(),
 	}
+	ds.describe(&out)
+	return out
+}
+
+// residualJSON reports the boundary-group residual pass of a merge —
+// how much of the partition straddled the range cuts.
+type residualJSON struct {
+	cfd.MergeStats
+	BoundaryFraction float64 `json:"boundary_fraction"`
+}
+
+func residualInfo(st cfd.MergeStats) residualJSON {
+	return residualJSON{st, st.BoundaryFraction()}
 }
 
 // --- handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "datasets": len(s.eng.List())})
+	out := map[string]any{"status": "ok", "datasets": len(s.be.List())}
+	if f, ok := s.be.(fleet); ok {
+		out["workers"] = f.Workers()
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 type registerRequest struct {
@@ -277,6 +377,19 @@ type schemaJSON struct {
 	Attrs []attrJSON `json:"attrs"`
 }
 
+// schema compiles the wire form.
+func (sj schemaJSON) schema() (*relation.Schema, error) {
+	attrs := make([]relation.Attribute, len(sj.Attrs))
+	for i, a := range sj.Attrs {
+		kind, err := relation.ParseKind(a.Kind)
+		if err != nil {
+			return nil, err
+		}
+		attrs[i] = relation.Attribute{Name: a.Name, Kind: kind}
+	}
+	return relation.NewSchema(sj.Name, attrs...)
+}
+
 type generateJSON struct {
 	Kind string  `json:"kind"` // cust | hosp | emp
 	N    int     `json:"n"`
@@ -286,8 +399,7 @@ type generateJSON struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	data, err := buildRelation(req)
@@ -295,16 +407,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.eng.Register(req.Name, data)
+	ds, err := s.be.register(req.Name, data)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, engine.ErrDuplicate) {
-			code = http.StatusConflict
-		}
-		writeError(w, code, err)
+		writeEngineError(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusCreated, datasetInfo(sess))
+	writeJSON(w, http.StatusCreated, datasetInfo(ds))
 }
 
 func buildRelation(req registerRequest) (*relation.Relation, error) {
@@ -333,15 +441,7 @@ func buildRelation(req registerRequest) (*relation.Relation, error) {
 		}
 		return data, nil
 	case req.Schema != nil && req.CSV != "":
-		attrs := make([]relation.Attribute, len(req.Schema.Attrs))
-		for i, a := range req.Schema.Attrs {
-			kind, err := relation.ParseKind(a.Kind)
-			if err != nil {
-				return nil, err
-			}
-			attrs[i] = relation.Attribute{Name: a.Name, Kind: kind}
-		}
-		schema, err := relation.NewSchema(req.Schema.Name, attrs...)
+		schema, err := req.Schema.schema()
 		if err != nil {
 			return nil, err
 		}
@@ -352,27 +452,34 @@ func buildRelation(req registerRequest) (*relation.Relation, error) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	names := s.eng.List()
+	names := s.be.List()
 	out := make([]datasetJSON, 0, len(names))
 	for _, name := range names {
-		if sess, ok := s.eng.Get(name); ok {
-			out = append(out, datasetInfo(sess))
+		if ds, ok := s.be.get(name); ok {
+			out = append(out, datasetInfo(ds))
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r.PathValue("name"))
+	ds, ok := s.dataset(w, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, datasetInfo(sess))
+	writeJSON(w, http.StatusOK, datasetInfo(ds))
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !s.eng.Drop(name) {
+	if !s.be.Drop(name) {
+		// Drop refuses a drop it cannot journal. The dataset still being
+		// there tells that case from a name that was never registered.
+		if _, ok := s.be.get(name); ok {
+			writeError(w, http.StatusInternalServerError,
+				fmt.Errorf("dropping dataset %q: %w", name, engine.ErrNotDurable))
+			return
+		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
 	}
@@ -380,20 +487,22 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r.PathValue("name"))
+	ds, ok := s.dataset(w, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	vs, err := sess.Violations()
+	vs, extra, err := ds.violations()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	out := map[string]any{
 		"count":      len(vs),
 		"tids":       cfd.ViolatingTIDs(vs),
-		"violations": violationsJSON(sess.Schema(), vs),
-	})
+		"violations": violationsJSON(ds.Schema(), vs),
+	}
+	maps.Copy(out, extra)
+	writeJSON(w, http.StatusOK, out)
 }
 
 type constraintsRequest struct {
@@ -403,17 +512,12 @@ type constraintsRequest struct {
 
 func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 	var req constraintsRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	set, err := s.eng.InstallConstraints(req.Dataset, req.CFDs)
+	set, err := s.be.InstallConstraints(req.Dataset, req.CFDs)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, engine.ErrUnknownDataset) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
+		writeEngineError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -431,30 +535,31 @@ type detectRequest struct {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req detectRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	sess, ok := s.session(w, req.Dataset)
+	ds, ok := s.dataset(w, req.Dataset)
 	if !ok {
 		return
 	}
 	start := time.Now()
-	vs, err := sess.Detect()
+	vs, extra, err := ds.detect()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
 	shown := vs
 	if req.Limit > 0 && len(shown) > req.Limit {
 		shown = shown[:req.Limit]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	out := map[string]any{
 		"count":      len(vs),
 		"tids":       cfd.ViolatingTIDs(vs),
-		"violations": violationsJSON(sess.Schema(), shown),
+		"violations": violationsJSON(ds.Schema(), shown),
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}
+	maps.Copy(out, extra)
+	writeJSON(w, http.StatusOK, out)
 }
 
 type repairRequest struct {
@@ -465,8 +570,7 @@ type repairRequest struct {
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req repairRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)
@@ -499,11 +603,10 @@ type incrementalRequest struct {
 
 func (s *Server) handleRepairIncremental(w http.ResponseWriter, r *http.Request) {
 	var req incrementalRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	sess, ok := s.session(w, req.Dataset)
+	ds, ok := s.dataset(w, req.Dataset)
 	if !ok {
 		return
 	}
@@ -511,36 +614,22 @@ func (s *Server) handleRepairIncremental(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no tuples to append"))
 		return
 	}
-	schema := sess.Schema()
-	tuples := make([]relation.Tuple, len(req.Tuples))
+	schema := ds.Schema()
 	for i, fields := range req.Tuples {
 		if len(fields) != schema.Arity() {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("tuple %d has %d fields, schema %s expects %d", i, len(fields), schema.Name(), schema.Arity()))
 			return
 		}
-		t := make(relation.Tuple, len(fields))
-		for j, f := range fields {
-			v, err := relation.ParseValue(f, schema.Attr(j).Kind)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %w", i, err))
-				return
-			}
-			t[j] = v
-		}
-		tuples[i] = t
 	}
-	res, err := sess.Append(tuples)
+	n, extra, err := ds.appendRows(req.Tuples)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		writeEngineError(w, err, http.StatusConflict)
 		return
 	}
-	out := repairResponse(schema, res, true)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"appended": len(tuples),
-		"tuples":   sess.Len(),
-		"repair":   out,
-	})
+	out := map[string]any{"appended": n, "tuples": ds.Len()}
+	maps.Copy(out, extra)
+	writeJSON(w, http.StatusOK, out)
 }
 
 type discoverRequest struct {
@@ -553,26 +642,21 @@ type discoverRequest struct {
 
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	var req discoverRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	sess, ok := s.session(w, req.Dataset)
+	ds, ok := s.dataset(w, req.Dataset)
 	if !ok {
 		return
 	}
-	found, err := sess.Discover(discovery.Options{MinSupport: req.MinSupport, MaxLHS: req.MaxLHS}, req.Install)
+	found, err := ds.discover(req.MinSupport, req.MaxLHS, req.Install)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeEngineError(w, err, http.StatusInternalServerError)
 		return
-	}
-	strs := make([]string, len(found))
-	for i, c := range found {
-		strs[i] = c.String()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":     len(found),
-		"cfds":      strs,
+		"cfds":      found,
 		"installed": req.Install,
 	})
 }
@@ -589,8 +673,7 @@ type editRequest struct {
 
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	var req editRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)

@@ -11,11 +11,11 @@ import (
 )
 
 // Worker-side shard protocol of scatter-gather detection. A worker is
-// an ordinary semandaqd process (every server mounts these routes; the
-// -worker flag only changes startup logging): the coordinator
-// range-partitions a dataset at registration, each worker owns its
-// contiguous TID slice as a normal session, and these endpoints expose
-// the shard-local halves the coordinator merges.
+// an ordinary semandaqd process (every server over a local engine mounts
+// these routes; the -worker flag only changes startup logging): the
+// coordinator range-partitions a dataset at registration, each worker
+// owns its contiguous TID slice as a normal session, and these
+// endpoints expose the shard-local halves the coordinator merges.
 //
 // Values cross the wire as base64 of their exact relation.Value.Encode
 // bytes — the same injective encoding that defines group identity — so
@@ -40,20 +40,10 @@ type shardRegisterRequest struct {
 
 func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	var req shardRegisterRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
-	attrs := make([]relation.Attribute, len(req.Schema.Attrs))
-	for i, a := range req.Schema.Attrs {
-		kind, err := relation.ParseKind(a.Kind)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		attrs[i] = relation.Attribute{Name: a.Name, Kind: kind}
-	}
-	schema, err := relation.NewSchema(req.Schema.Name, attrs...)
+	schema, err := req.Schema.schema()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -106,8 +96,7 @@ type shardCFDJSON struct {
 
 func (s *Server) handleShardDetect(w http.ResponseWriter, r *http.Request) {
 	var req shardDetectRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)
@@ -163,8 +152,7 @@ type shardMembersJSON struct {
 
 func (s *Server) handleShardGroups(w http.ResponseWriter, r *http.Request) {
 	var req shardGroupsRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)
@@ -218,8 +206,7 @@ type dcPairJSON struct {
 
 func (s *Server) handleShardDC(w http.ResponseWriter, r *http.Request) {
 	var req shardDCRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)
