@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # real measurements.
 BENCHTIME ?= 1x
 
-.PHONY: all check fmt vet build test race race-cache bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-all run-daemon
+.PHONY: all check fmt vet build test race race-cache bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
 
 all: check
 
@@ -100,13 +100,24 @@ bench-spill:
 # that module's own vet and tests, so a root-module change that breaks
 # the benchmark's build or one of its output checks — cluster ≡ single
 # process, repair leaves nothing, kill -9 loses no acked append — fails
-# here. Correctness only: a shared runner cannot hold a timing bound.
-# Measure with `bash bench/run.sh` and `go run -C bench . compare`.
+# here. The traced serve-mixed run adds the ladder's add-up check: the
+# in-process server.read / detect / append spans against the self times
+# of the twin rungs under them. Correctness only: a shared runner cannot
+# hold a timing bound. Measure with `bash bench/run.sh` and
+# `make bench-compare`.
 bench-smoke:
 	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0; \
 	done
+	bash bench/run.sh --workload serve-mixed --seed 1 --seconds 3 --trace 1
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-compare applies BENCHMARK.json's bounds to two files of run
+# records (`bash bench/run.sh ... --out FILE` appends one per run; A the
+# parent's, B the change's): ok / worse / unresolved per workload and
+# end-to-end metric.
+bench-compare:
+	$(GO) run -C bench . compare $(abspath $(A)) $(abspath $(B))
 
 # bench-all smoke-runs every benchmark once.
 bench-all:

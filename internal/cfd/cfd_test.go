@@ -1,6 +1,10 @@
 package cfd
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -337,6 +341,60 @@ func TestViolatingTIDs(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("ViolatingTIDs = %v, want %v", got, want)
+		}
+	}
+}
+
+// violatingTIDsRef is ViolatingTIDs as it was before the bitset: the
+// reference the property test below compares against.
+func violatingTIDsRef(vs []Violation) []int {
+	seen := map[int]bool{}
+	for _, v := range vs {
+		for _, tid := range v.TIDs {
+			seen[tid] = true
+		}
+	}
+	out := make([]int, 0, len(seen))
+	for tid := range seen {
+		out = append(out, tid)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestViolatingTIDsProperty: the bitset and the sparse fallback return
+// exactly what the map + sort did, empty result included (non-nil, so it
+// still encodes as [] and not null).
+func TestViolatingTIDsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	lists := [][]Violation{
+		nil,
+		{},
+		{{TIDs: nil}, {TIDs: []int{}}},
+		{{TIDs: []int{7}}},
+		{{TIDs: []int{0}}, {TIDs: []int{0, 0, 0}}},
+		{{TIDs: []int{63, 64, 65, 127, 128}}},
+		{{TIDs: []int{5, 1 << 40}}},                      // sparse
+		{{TIDs: []int{math.MinInt, math.MaxInt, -3, 0}}}, // span overflows
+	}
+	for i := 0; i < 300; i++ {
+		// Ranges from duplicate-heavy (a few values) to sparse (far more
+		// values than TIDs), at an offset so min is rarely 0.
+		span, base := 1+rng.Intn(1<<uint(1+rng.Intn(20))), rng.Intn(1000)
+		vs := make([]Violation, rng.Intn(40))
+		for j := range vs {
+			tids := make([]int, rng.Intn(30))
+			for k := range tids {
+				tids[k] = base + rng.Intn(span)
+			}
+			vs[j].TIDs = tids
+		}
+		lists = append(lists, vs)
+	}
+	for i, vs := range lists {
+		got, want := ViolatingTIDs(vs), violatingTIDsRef(vs)
+		if got == nil || !slices.Equal(got, want) {
+			t.Fatalf("list %d: ViolatingTIDs = %v, reference %v", i, got, want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package cfd
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"semandaq/internal/relation"
@@ -430,18 +432,49 @@ func IncDetect(r *relation.Relation, c *CFD, pli *relation.PLI, tids []int) []Vi
 
 // ViolatingTIDs collapses a violation list to the sorted set of involved
 // tuple IDs — the shape of the answer the detection SQL queries of
-// TODS 2008 return.
+// TODS 2008 return. TIDs are dense in practice, so the set is a bitset
+// over [min, max] read back in order; a range so sparse that the bitset
+// would have more words than the list has TIDs is sorted and compacted
+// instead.
 func ViolatingTIDs(vs []Violation) []int {
-	seen := map[int]bool{}
+	n, lo, hi := 0, 0, 0
 	for _, v := range vs {
 		for _, tid := range v.TIDs {
-			seen[tid] = true
+			if n == 0 || tid < lo {
+				lo = tid
+			}
+			if n == 0 || tid > hi {
+				hi = tid
+			}
+			n++
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for tid := range seen {
-		out = append(out, tid)
+	if n == 0 {
+		return []int{}
 	}
-	sort.Ints(out)
+	if span := hi - lo; span < 0 || span/64 >= n { // span < 0: hi-lo overflowed
+		out := make([]int, 0, n)
+		for _, v := range vs {
+			out = append(out, v.TIDs...)
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	words := make([]uint64, (hi-lo)/64+1)
+	for _, v := range vs {
+		for _, tid := range v.TIDs {
+			words[(tid-lo)/64] |= 1 << ((tid - lo) % 64)
+		}
+	}
+	distinct := 0
+	for _, word := range words {
+		distinct += bits.OnesCount64(word)
+	}
+	out := make([]int, 0, distinct)
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, lo+w*64+bits.TrailingZeros64(word))
+		}
+	}
 	return out
 }

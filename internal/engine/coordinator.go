@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -126,9 +127,10 @@ type ClusterDataset struct {
 	// mutation record after its dataset's drop record.
 	dropped bool
 
-	violations []cfd.Violation
-	stats      cfd.MergeStats
-	vioValid   bool
+	// vio is the cached global violation list and stats the merge that
+	// produced it: replaced together, so one generation names both.
+	vio   cachedViolations
+	stats cfd.MergeStats
 }
 
 // Name returns the dataset name.
@@ -483,7 +485,7 @@ func (c *Coordinator) InstallConstraints(name, text string) (*cfd.Set, error) {
 	}
 	cd.mu.Lock()
 	cd.cfds, cd.cfdText = set, text
-	cd.violations, cd.vioValid = nil, false
+	cd.vio.drop()
 	cd.mu.Unlock()
 	c.mirrorRegistry()
 	return set, nil
@@ -544,6 +546,9 @@ type DetectResult struct {
 	Stats      cfd.MergeStats
 	// Workers are the per-worker shard-detect latencies of this call.
 	Workers []WorkerCall
+	// Gen is the generation of the cached list this result equals, 0
+	// when it was not cached (see Session.SharedViolations).
+	Gen uint64
 	// Degraded reports that one or more workers failed mid-detect and
 	// their shards are absent from the merge: Violations is a sound
 	// partial answer over the surviving shards, never a silent global
@@ -556,7 +561,8 @@ type DetectResult struct {
 // Detect fans detection of the installed constraints out to the
 // workers and merges the shard results into the single-process-exact
 // global violation list (cfd.MergeShards), caching it like
-// Session.Detect does. If a worker dies mid-detect the merge degrades
+// Session.Detect does — replacing the cached list only when the fresh
+// one differs. If a worker dies mid-detect the merge degrades
 // gracefully: the result covers the surviving shards and carries
 // Degraded plus the failed workers, instead of a blanket error — only
 // all workers failing is an error.
@@ -576,9 +582,11 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 	// Racing installs swap cd.cfds; only cache what matches — and never
 	// cache a degraded (partial) answer.
 	if cd.cfds == set && !res.Degraded {
-		cd.violations = append([]cfd.Violation(nil), res.Violations...)
-		cd.stats = res.Stats
-		cd.vioValid = true
+		// Cache a copy: the returned slice is caller-owned.
+		if cd.vio.store(slices.Clone(res.Violations)) {
+			cd.stats = res.Stats
+		}
+		res.Gen = cd.vio.gen
 	}
 	cd.mu.Unlock()
 	return res, nil
@@ -689,22 +697,19 @@ func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, 
 	return res, nil
 }
 
-// Violations returns the cached violation list, re-detecting if stale.
+// Violations returns the cached violation list — the shared slice,
+// read-only, with its generation — re-detecting if stale.
 func (c *Coordinator) Violations(name string) (*DetectResult, error) {
 	cd, ok := c.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
 	}
 	cd.mu.RLock()
-	if cd.vioValid {
-		res := &DetectResult{
-			Violations: append([]cfd.Violation(nil), cd.violations...),
-			Stats:      cd.stats,
-		}
-		cd.mu.RUnlock()
-		return res, nil
-	}
+	vio, stats := cd.vio, cd.stats
 	cd.mu.RUnlock()
+	if vio.valid {
+		return &DetectResult{Violations: vio.list, Stats: stats, Gen: vio.gen}, nil
+	}
 	return c.Detect(name)
 }
 
@@ -744,7 +749,7 @@ func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
 	// the next restart's replay.
 	cd.mu.Lock()
 	cd.counts[last] += n
-	cd.violations, cd.vioValid = nil, false
+	cd.vio.drop()
 	cd.mu.Unlock()
 	if jerr != nil {
 		return 0, notDurable(fmt.Sprintf("append to %q", name), jerr)

@@ -142,6 +142,20 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	if len(vs) == 0 {
 		t.Fatal("planted base violation not detected")
 	}
+	// The list's generation — what lets the server keep serving the
+	// bytes it encoded — survives appends and a detect that finds the
+	// same list again, with the very slice still shared.
+	shared, gen, err := s.SharedViolations()
+	if err != nil || gen == 0 || !reflect.DeepEqual(shared, vs) {
+		t.Fatalf("SharedViolations: generation %d, %d violations, %v", gen, len(shared), err)
+	}
+	sameList := func(when string) {
+		t.Helper()
+		again, g, err := s.SharedViolations()
+		if err != nil || g != gen || &again[0] != &shared[0] {
+			t.Fatalf("%s: generation %d -> %d (same slice: %v), %v", when, gen, g, &again[0] == &shared[0], err)
+		}
+	}
 
 	for round := 0; round < 3; round++ {
 		if _, err := s.Append(corruptCT(base, round, 40)); err != nil {
@@ -158,6 +172,11 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 		if now := s.IndexStats(); now != after {
 			t.Fatalf("round %d: Violations() re-detected after append: %+v -> %+v", round, after, now)
 		}
+		sameList("after an append")
+		if _, err := s.Detect(); err != nil {
+			t.Fatal(err)
+		}
+		sameList("after a detect that changed nothing")
 	}
 
 	// Ground truth: the carried-over list equals cold detection of the
@@ -180,6 +199,9 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	}
 	if got := s.IndexStats(); got == before {
 		t.Fatal("Violations() after an Edit did no detection work")
+	}
+	if _, g, _ := s.SharedViolations(); g <= gen {
+		t.Fatalf("generation %d -> %d across an Edit: it must move", gen, g)
 	}
 }
 

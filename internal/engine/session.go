@@ -13,9 +13,11 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/dc"
@@ -75,10 +77,41 @@ type Session struct {
 
 	// version counts mutations of data/set; caches tagged with an older
 	// version are discarded instead of stored.
-	version    uint64
-	violations []cfd.Violation
-	vioValid   bool
+	version uint64
+	vio     cachedViolations
 }
+
+// violationGen numbers every violation list the engine caches. It is
+// process-wide, so a generation also tells two datasets' lists apart,
+// and the lists of a dataset dropped and registered again under its
+// name; 0 is never issued and means "not cached".
+var violationGen atomic.Uint64
+
+// cachedViolations is a dataset's cached violation list (Session and
+// ClusterDataset alike). The generation changes exactly when the list's
+// content can: a consumer that derived something from the list — the
+// server's encoded response bodies — may keep it for as long as it sees
+// the same generation. The list is immutable once stored.
+type cachedViolations struct {
+	list  []cfd.Violation
+	gen   uint64
+	valid bool
+}
+
+// store makes vs the cached list unless it is the list already held, in
+// which case the old slice and its generation stay. It reports whether
+// the list was replaced.
+func (c *cachedViolations) store(vs []cfd.Violation) bool {
+	if c.valid && slices.EqualFunc(c.list, vs, func(a, b cfd.Violation) bool {
+		return a.CFD == b.CFD && a.Row == b.Row && a.Kind == b.Kind && a.Attr == b.Attr && slices.Equal(a.TIDs, b.TIDs)
+	}) {
+		return false
+	}
+	c.list, c.gen, c.valid = vs, violationGen.Add(1), true
+	return true
+}
+
+func (c *cachedViolations) drop() { c.list, c.valid = nil, false }
 
 // NewSession opens a session over a private clone of data. The
 // constraint set must match the data's schema and be satisfiable (an
@@ -202,15 +235,28 @@ func (s *Session) checkOpen() error {
 // data or constraints.
 func (s *Session) mutated() {
 	s.version++
-	s.violations = nil
-	s.vioValid = false
+	s.vio.drop()
 	s.candidate = nil
 }
 
 // Detect runs violation detection on the current data using the
-// session's worker pool and refreshes the violation cache. The returned
-// slice is owned by the caller.
+// session's worker pool and refreshes the violation cache: the cached
+// list is replaced only when the fresh one differs from it, so a detect
+// that finds what the session already holds keeps the list's generation
+// (and whatever consumers derived from it). The returned slice is owned
+// by the caller.
 func (s *Session) Detect() ([]cfd.Violation, error) {
+	vs, _, err := s.detect()
+	// A copy: what detect returns may be the cached list, and a caller
+	// sorting or rewriting its slice must not corrupt what Violations
+	// serves to everyone else.
+	return slices.Clone(vs), err
+}
+
+// detect is Detect returning the list it cached, shared and read-only,
+// with its generation — or the fresh result with generation 0 when a
+// mutation overtook the detection and nothing was cached.
+func (s *Session) detect() ([]cfd.Violation, uint64, error) {
 	// Holding the read lock across the computation is what makes
 	// concurrent detection safe against in-place cell edits; other
 	// readers still proceed in parallel.
@@ -219,18 +265,15 @@ func (s *Session) Detect() ([]cfd.Violation, error) {
 	vs, err := cfd.NewDetectorWithCache(s.set, s.indexes).DetectParallel(s.data, s.workers)
 	s.mu.RUnlock()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.mu.Lock()
-	if s.version == ver {
-		// Cache a copy: the returned slice is caller-owned, and a
-		// caller sorting or rewriting it must not corrupt what
-		// Violations serves to everyone else.
-		s.violations = append([]cfd.Violation(nil), vs...)
-		s.vioValid = true
+	defer s.mu.Unlock()
+	if s.version != ver {
+		return vs, 0, nil
 	}
-	s.mu.Unlock()
-	return vs, nil
+	s.vio.store(vs)
+	return s.vio.list, s.vio.gen, nil
 }
 
 // DetectSerial runs single-threaded detection, bypassing the worker
@@ -293,17 +336,25 @@ func (s *Session) SpillDir() string {
 // entries contribute (almost) nothing.
 func (s *Session) IndexResidentBytes() int64 { return s.indexes.ResidentBytes() }
 
-// Violations returns the cached violation list, recomputing it if the
-// data or constraints changed since the last Detect.
+// Violations returns a copy of the cached violation list, recomputing
+// it if the data or constraints changed since the last Detect.
 func (s *Session) Violations() ([]cfd.Violation, error) {
+	vs, _, err := s.SharedViolations()
+	return slices.Clone(vs), err
+}
+
+// SharedViolations is Violations without the copy: the cached list
+// itself, which every caller shares and none may modify, and its
+// generation (0 when the list could not be cached; see detect). Two
+// calls returning the same non-zero generation returned the same list.
+func (s *Session) SharedViolations() ([]cfd.Violation, uint64, error) {
 	s.mu.RLock()
-	if s.vioValid {
-		out := append([]cfd.Violation(nil), s.violations...)
-		s.mu.RUnlock()
-		return out, nil
-	}
+	vio := s.vio
 	s.mu.RUnlock()
-	return s.Detect()
+	if vio.valid {
+		return vio.list, vio.gen, nil
+	}
+	return s.detect()
 }
 
 // weights builds the repair weight function: confirmed cells are
@@ -510,7 +561,7 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 	// delta tuples' groups (deltaClean — O(delta), on the same cached
 	// partitions the repair just advanced/patched); a non-empty residue
 	// there is never expected and falls back to plain invalidation.
-	hadVio, cached := s.vioValid, s.violations
+	carried := s.vio
 	base := s.data.Len()
 	deltaTIDs := make([]int, 0, len(tuples))
 	for _, t := range tuples {
@@ -543,8 +594,8 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 		}
 	}
 	s.mutated()
-	if hadVio && (len(cached) == 0 || s.deltaClean(deltaTIDs)) {
-		s.violations, s.vioValid = cached, true
+	if carried.valid && (len(carried.list) == 0 || s.deltaClean(deltaTIDs)) {
+		s.vio = carried // same list, same generation
 	}
 	return res, nil
 }
@@ -603,7 +654,7 @@ func (s *Session) Discover(opts discovery.Options, install bool) ([]*cfd.CFD, er
 
 // Summary renders a short session status report.
 func (s *Session) Summary() (string, error) {
-	vs, err := s.Violations()
+	vs, _, err := s.SharedViolations()
 	if err != nil {
 		return "", err
 	}

@@ -40,7 +40,9 @@ type dataset interface {
 	// describe fills the backend's own fields of the dataset info.
 	describe(*datasetJSON)
 	detect() ([]cfd.Violation, map[string]any, error)
-	violations() ([]cfd.Violation, map[string]any, error)
+	// violations returns the engine's cached list itself — shared, not
+	// to be modified — and its generation (0: not cached, do not keep).
+	violations() ([]cfd.Violation, uint64, map[string]any, error)
 	// appendRows appends arity-checked raw rows and returns how many.
 	appendRows(rows [][]string) (int, map[string]any, error)
 	discover(minSupport, maxLHS int, install bool) ([]string, error)
@@ -83,9 +85,9 @@ func (d localDataset) detect() ([]cfd.Violation, map[string]any, error) {
 	return vs, nil, err
 }
 
-func (d localDataset) violations() ([]cfd.Violation, map[string]any, error) {
-	vs, err := d.Violations()
-	return vs, nil, err
+func (d localDataset) violations() ([]cfd.Violation, uint64, map[string]any, error) {
+	vs, gen, err := d.SharedViolations()
+	return vs, gen, nil, err
 }
 
 // appendRows parses each field with the schema's attribute kind (empty
@@ -168,12 +170,12 @@ func (d clusterDataset) detect() ([]cfd.Violation, map[string]any, error) {
 	return res.Violations, extra, nil
 }
 
-func (d clusterDataset) violations() ([]cfd.Violation, map[string]any, error) {
+func (d clusterDataset) violations() ([]cfd.Violation, uint64, map[string]any, error) {
 	res, err := d.coord.Violations(d.Name())
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	return res.Violations, map[string]any{"residual": residualInfo(res.Stats)}, nil
+	return res.Violations, res.Gen, map[string]any{"residual": residualInfo(res.Stats)}, nil
 }
 
 // appendRows forwards the raw fields: the tail worker parses and

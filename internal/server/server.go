@@ -11,7 +11,7 @@
 //	GET    /v1/datasets                    list datasets
 //	GET    /v1/datasets/{name}             dataset info
 //	DELETE /v1/datasets/{name}             drop a dataset
-//	GET    /v1/datasets/{name}/violations  current (cached) violations
+//	GET    /v1/datasets/{name}/violations  current (cached) violations; ETag / If-None-Match → 304
 //	POST   /v1/constraints                 compile + install a CFD set
 //	POST   /v1/detect                      run parallel violation detection
 //	POST   /v1/repair                      compute a candidate repair (optionally accept)
@@ -22,7 +22,7 @@
 //	GET    /v1/datasets/{name}/dcs         list installed denial constraints
 //	POST   /v1/dc/detect                   detect DC violations (rank-sweep over PLIs)
 //	POST   /v1/dc/relax                    propose relaxations of a violated DC
-//	GET    /v1/stats                       per-endpoint request counters + latency
+//	GET    /v1/stats                       per-endpoint request counters + latency, violation-body cache hits
 //	POST   /v1/shard/*                     worker half of scatter-gather detection (shard.go)
 //
 // There is one Server, one route table and one handler per route. New
@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
@@ -65,6 +64,8 @@ type Server struct {
 	eng   *engine.Engine
 	mux   *http.ServeMux
 	stats *serverStats
+	// bodies are the encoded GET …/violations responses (violations.go).
+	bodies bodyCache
 
 	// recovering gates the API while WAL replay runs at startup: every
 	// route answers 503 (counted in /v1/stats under "(recovering)")
@@ -99,6 +100,7 @@ func NewCoordinator(coord *engine.Coordinator) *Server {
 // added (TestRouteParity walks it in both modes).
 func newServer(be backend, eng *engine.Engine) *Server {
 	s := &Server{be: be, eng: eng, mux: http.NewServeMux(), stats: newServerStats()}
+	s.bodies.byName = map[string]*violationBody{}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleList)
@@ -147,6 +149,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	out := map[string]any{
 		"endpoints":        s.stats.snapshot(),
 		"recovery_rejects": s.stats.recoveryRejects(),
+		"violation_bodies": s.bodies.stats(),
 	}
 	if f, ok := s.be.(fleet); ok {
 		out["workers"] = f.WorkerStats()
@@ -274,28 +277,6 @@ type datasetJSON struct {
 	// coordinator (which holds no index of its own: the two fields above
 	// are the local backend's).
 	Shards []int `json:"shards,omitempty"`
-}
-
-type violationJSON struct {
-	CFD  string `json:"cfd"`
-	Row  int    `json:"row"`
-	Kind string `json:"kind"`
-	Attr string `json:"attr"`
-	TIDs []int  `json:"tids"`
-}
-
-func violationsJSON(schema *relation.Schema, vs []cfd.Violation) []violationJSON {
-	out := make([]violationJSON, len(vs))
-	for i, v := range vs {
-		out[i] = violationJSON{
-			CFD:  v.CFD.Name(),
-			Row:  v.Row,
-			Kind: v.Kind.String(),
-			Attr: schema.Attr(v.Attr).Name,
-			TIDs: v.TIDs,
-		}
-	}
-	return out
 }
 
 type changeJSON struct {
@@ -483,26 +464,8 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
 	}
+	s.bodies.set(name, nil)
 	writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
-}
-
-func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
-	ds, ok := s.dataset(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	vs, extra, err := ds.violations()
-	if err != nil {
-		writeEngineError(w, err, http.StatusInternalServerError)
-		return
-	}
-	out := map[string]any{
-		"count":      len(vs),
-		"tids":       cfd.ViolatingTIDs(vs),
-		"violations": violationsJSON(ds.Schema(), vs),
-	}
-	maps.Copy(out, extra)
-	writeJSON(w, http.StatusOK, out)
 }
 
 type constraintsRequest struct {
@@ -524,42 +487,6 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 		"installed": set.Len(),
 		"rows":      set.TotalRows(),
 	})
-}
-
-type detectRequest struct {
-	Dataset string `json:"dataset"`
-	// Limit truncates the violation list in the response (0 = all);
-	// count and tids always cover the full result.
-	Limit int `json:"limit,omitempty"`
-}
-
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	var req detectRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	ds, ok := s.dataset(w, req.Dataset)
-	if !ok {
-		return
-	}
-	start := time.Now()
-	vs, extra, err := ds.detect()
-	if err != nil {
-		writeEngineError(w, err, http.StatusInternalServerError)
-		return
-	}
-	shown := vs
-	if req.Limit > 0 && len(shown) > req.Limit {
-		shown = shown[:req.Limit]
-	}
-	out := map[string]any{
-		"count":      len(vs),
-		"tids":       cfd.ViolatingTIDs(vs),
-		"violations": violationsJSON(ds.Schema(), shown),
-		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	}
-	maps.Copy(out, extra)
-	writeJSON(w, http.StatusOK, out)
 }
 
 type repairRequest struct {

@@ -21,8 +21,8 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// call performs a JSON request and decodes the JSON response.
-func call(t *testing.T, ts *httptest.Server, method, path string, body any) (int, map[string]any) {
+// do sends one request to ts and returns the response with its body read.
+func do(t *testing.T, ts *httptest.Server, method, path string, body any, header ...string) (*http.Response, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -36,13 +36,27 @@ func call(t *testing.T, ts *httptest.Server, method, path string, body any) (int
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// call performs a JSON request and decodes the JSON response.
+func call(t *testing.T, ts *httptest.Server, method, path string, body any) (int, map[string]any) {
+	t.Helper()
+	resp, raw := do(t, ts, method, path, body)
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("%s %s: decoding response: %v", method, path, err)
 	}
 	return resp.StatusCode, out
