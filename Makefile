@@ -102,14 +102,18 @@ bench-spill:
 # process, repair leaves nothing, kill -9 loses no acked append — fails
 # here. The traced serve-mixed run adds the ladder's add-up check: the
 # in-process server.read / detect / append spans against the self times
-# of the twin rungs under them. Correctness only: a shared runner cannot
-# hold a timing bound. Measure with `bash bench/run.sh` and
+# of the twin rungs under them; the traced cold-batch run adds the
+# ladder's repair rung: repair.Batch on the twin relation, then a
+# detection that must find nothing. Correctness only: a shared runner
+# cannot hold a timing bound. Measure with `bash bench/run.sh` and
 # `make bench-compare`.
 bench-smoke:
 	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0; \
 	done
-	bash bench/run.sh --workload serve-mixed --seed 1 --seconds 3 --trace 1
+	for w in serve-mixed cold-batch; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1; \
+	done
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compare applies BENCHMARK.json's bounds to two files of run

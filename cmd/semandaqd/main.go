@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	semandaqd [-addr :8080] [-workers 0] [-shards 0] [-preload 0] [-index-budget-mb 0]
+//	semandaqd [-addr :8080] [-workers 0] [-shards 0] [-preload 0] [-index-budget-mb 0] [-pprof addr]
 //
 // -workers sizes the per-dataset detection worker pool (0 = NumCPU,
 // 1 = serial). -shards sets the PLI build fan-out: cold partition
@@ -24,7 +24,10 @@
 // budget evictions into tiered demotions: clean partitions are written
 // as segment files under the directory and paged back in via read-only
 // mmap instead of rebuilt (see the "Tiered storage" section of
-// README.md); empty keeps the discard-on-evict behavior.
+// README.md); empty keeps the discard-on-evict behavior. -pprof serves
+// net/http/pprof (/debug/pprof/...) on its own listener at the given
+// address, never on the API address; empty (the default) listens
+// nowhere.
 //
 // Durability (see the "Durability" section of README.md):
 //
@@ -71,6 +74,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, which only the -pprof listener serves
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -116,6 +120,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durability directory for the write-ahead log and snapshots (empty = ephemeral, no durability)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always|interval|none")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Minute, "periodic snapshot + WAL compaction interval when -data-dir is set (0 = only at graceful shutdown)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = disabled)")
 	flag.Parse()
 
 	syncPolicy, err := wal.ParseSyncPolicy(*walSync)
@@ -124,6 +129,16 @@ func main() {
 	}
 	if *cluster != "" && *workerMode {
 		log.Fatal("semandaqd: -worker and -cluster are mutually exclusive")
+	}
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatalf("semandaqd: pprof: %v", err)
+		}
+		log.Printf("pprof listening on %s", ln.Addr())
+		// Lives until the process exits: a profile must still be
+		// readable while the API server drains.
+		go func() { log.Printf("semandaqd: pprof: %v", http.Serve(ln, nil)) }()
 	}
 
 	// The two modes differ in what is built here and nowhere below.

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"semandaq/internal/engine"
+	"semandaq/internal/server"
 )
 
 func TestReadMemTotal(t *testing.T) {
@@ -33,5 +38,25 @@ func TestDeriveIndexBudgetNonNegative(t *testing.T) {
 	// zero only when no ceiling is knowable.
 	if b := deriveIndexBudget(); b < 0 {
 		t.Fatalf("deriveIndexBudget = %d", b)
+	}
+}
+
+// TestPprofOnlyOnItsOwnMux: the profile endpoints answer on the mux the
+// -pprof listener serves and are not routes of the API handler.
+func TestPprofOnlyOnItsOwnMux(t *testing.T) {
+	get := func(h http.Handler, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+		if code := get(http.DefaultServeMux, path); code != http.StatusOK {
+			t.Errorf("pprof mux: GET %s = %d, want 200", path, code)
+		}
+	}
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	if code := get(server.New(eng), "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("API handler: GET /debug/pprof/ = %d, want 404", code)
 	}
 }

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -178,7 +180,7 @@ func refineGroups(codes, ranks, count []int32, cur, next []int, bounds []int32, 
 			count[touched[0]] = 0
 			continue
 		}
-		sort.Slice(touched, func(i, j int) bool { return ranks[touched[i]] < ranks[touched[j]] })
+		slices.SortFunc(touched, func(a, b int32) int { return cmp.Compare(ranks[a], ranks[b]) })
 		// Turn counts into placement cursors (block starts in rank
 		// order), then place members stably so TIDs stay ascending.
 		pos := int32(lo)

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -454,7 +456,7 @@ func (r *Relation) codeRanks(attr int) []int32 {
 	for i := range fresh {
 		fresh[i] = int32(old + i)
 	}
-	sort.Slice(fresh, func(i, j int) bool { return c.encs[fresh[i]] < c.encs[fresh[j]] })
+	slices.SortFunc(fresh, func(a, b int32) int { return cmp.Compare(c.encs[a], c.encs[b]) })
 	// Published rank slices are immutable (clones share them), so the
 	// extended ranking goes into a fresh allocation.
 	ranks := make([]int32, len(c.values))

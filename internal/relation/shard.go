@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -281,7 +283,7 @@ func shardedRefineGroupPooled(codes, ranks []int32, distinct int, cur, next []in
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return ranks[all[i]] < ranks[all[j]] })
+	slices.SortFunc(all, func(a, b int32) int { return cmp.Compare(ranks[a], ranks[b]) })
 	for _, c := range all {
 		seen[c] = false
 	}

@@ -24,7 +24,7 @@ package repair
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/relation"
@@ -119,9 +119,24 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 
 	cellID := func(tid, attr int) int { return tid*arity + attr }
 
+	// touched lists the cells the violation loop has merged, bound or
+	// broken out of a pattern's scope: the only cells whose class value
+	// can differ from orig. Every other cell is a singleton class without
+	// a target and keeps the value work cloned from r, so a pass costs
+	// O(touched), not O(n).
+	var touched []int
+	isTouched := make([]uint64, (n+63)/64)
+	touch := func(cell int) {
+		if w, bit := cell>>6, uint64(1)<<(cell&63); isTouched[w]&bit == 0 {
+			isTouched[w] |= bit
+			touched = append(touched, cell)
+		}
+	}
+
 	// setConst binds the class of cell to a constant; on conflict with a
 	// different constant the class escalates to fresh.
 	setConst := func(cell int, v relation.Value) {
+		touch(cell)
 		root := uf.find(cell)
 		t := targets[root]
 		switch t.kind {
@@ -138,6 +153,8 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 	}
 
 	merge := func(a, b int) {
+		touch(a)
+		touch(b)
 		ra, rb := uf.find(a), uf.find(b)
 		if ra == rb {
 			return
@@ -162,25 +179,18 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 		}
 	}
 
-	// materialize writes every cell's class value into work.
-	members := make(map[int][]int) // root -> member cells (rebuilt per pass)
+	// materialize writes every touched cell's class value into work.
+	// Members are listed in ascending cell id: classValue's exact mode
+	// breaks cost ties by member order and sums costs in it.
+	members := make(map[int][]int) // root -> touched member cells (rebuilt per pass)
 	materialize := func() {
-		for k := range members {
-			delete(members, k)
-		}
-		for cell := 0; cell < n; cell++ {
+		clear(members)
+		slices.Sort(touched)
+		for _, cell := range touched {
 			root := uf.find(cell)
 			members[root] = append(members[root], cell)
 		}
 		for root, cells := range members {
-			if len(cells) == 1 {
-				if t, ok := targets[root]; ok && t.kind != targetUnset {
-					work.Set(cells[0]/arity, cells[0]%arity, t.value)
-				} else {
-					work.Set(cells[0]/arity, cells[0]%arity, orig.Get(cells[0]/arity, cells[0]%arity))
-				}
-				continue
-			}
 			var v relation.Value
 			if t, ok := targets[root]; ok && t.kind != targetUnset {
 				v = t.value
@@ -202,7 +212,7 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 			return nil, err
 		}
 		if len(vs) == 0 {
-			return finish(orig, work, passes+1, opts), nil
+			return finish(orig, work, touched, passes+1, opts), nil
 		}
 		progress := false
 		for _, v := range vs {
@@ -253,6 +263,7 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 						continue // bound to match; cannot break here
 					}
 					freshCounter++
+					touch(lcell)
 					targets[lroot] = cellTarget{
 						targetFresh,
 						freshValue(r.Schema().Attr(lhsAttr).Kind, freshCounter),
@@ -275,27 +286,22 @@ func Batch(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
 	return nil, fmt.Errorf("repair: pass limit %d exceeded", opts.MaxPasses)
 }
 
-// finish computes the change list and cost.
-func finish(orig, work *relation.Relation, passes int, opts Options) *Result {
+// finish computes the change list and cost by diffing the touched cells
+// (ascending cell id, so Changes come out sorted by (TID, Attr)); no
+// other cell can differ from orig.
+func finish(orig, work *relation.Relation, touched []int, passes int, opts Options) *Result {
 	var changes []Change
 	cost := 0.0
 	arity := orig.Schema().Arity()
-	for tid := 0; tid < orig.Len(); tid++ {
-		for attr := 0; attr < arity; attr++ {
-			from, to := orig.Get(tid, attr), work.Get(tid, attr)
-			if from.Identical(to) {
-				continue
-			}
-			changes = append(changes, Change{TID: tid, Attr: attr, From: from, To: to})
-			cost += opts.Weights(tid, attr) * valueDistance(from, to)
+	for _, cell := range touched {
+		tid, attr := cell/arity, cell%arity
+		from, to := orig.Get(tid, attr), work.Get(tid, attr)
+		if from.Identical(to) {
+			continue
 		}
+		changes = append(changes, Change{TID: tid, Attr: attr, From: from, To: to})
+		cost += opts.Weights(tid, attr) * valueDistance(from, to)
 	}
-	sort.Slice(changes, func(i, j int) bool {
-		if changes[i].TID != changes[j].TID {
-			return changes[i].TID < changes[j].TID
-		}
-		return changes[i].Attr < changes[j].Attr
-	})
 	return &Result{Repaired: work, Changes: changes, Cost: cost, Passes: passes}
 }
 

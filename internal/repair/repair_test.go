@@ -1,11 +1,15 @@
 package repair
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/datagen"
 	"semandaq/internal/relation"
 )
 
@@ -155,7 +159,9 @@ func TestBatchConflictingConstantsMovesOutOfScope(t *testing.T) {
 	s := custSchema(t)
 	// Two rules force different cities for the same tuple; the repair
 	// must move the tuple out of one scope (fresh value on CC or ZIP)
-	// rather than loop.
+	// rather than loop. The fresh value lands on a cell no merge or
+	// setConst ever saw: if it is not materialized the violation stays
+	// and the run ends in "no progress".
 	set, err := cfd.ParseSet(`
 cust([CC='44'] -> [CT='edi'])
 cust([ZIP='Z1'] -> [CT='mh'])
@@ -165,15 +171,22 @@ cust([ZIP='Z1'] -> [CT='mh'])
 	}
 	r := relation.New(s)
 	r.MustInsert(strTuple("44", "131", "1", "a", "s", "gla", "Z1"))
-	res, err := Batch(r, set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r.MustInsert(strTuple("44", "131", "2", "b", "s", "edi", "Z2"))
+	res := matchFullWalk(t, "lhs break", r, set, Options{})
 	if err := Verify(res, set); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Changes) == 0 {
-		t.Fatal("expected changes")
+	fresh := 0
+	for _, ch := range res.Changes {
+		if ch.TID != 0 {
+			t.Errorf("clean tuple changed: %v", ch)
+		}
+		if (ch.Attr == s.MustIndex("CC") || ch.Attr == s.MustIndex("ZIP")) && strings.HasPrefix(ch.To.Str(), "⊥") {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("changes %v: want exactly one LHS cell moved to a fresh value", res.Changes)
 	}
 }
 
@@ -394,4 +407,370 @@ func TestBatchSchemaMismatch(t *testing.T) {
 	if _, err := Batch(r, set, Options{}); err == nil {
 		t.Error("schema mismatch should fail")
 	}
+}
+
+// matchFullWalk repairs r with Batch and with the full-walk reference
+// and fails unless both succeed and agree on everything a caller can
+// observe: Passes, Cost (exact ==), the change list in order and the
+// repaired relation cell by cell. Values are compared by their
+// encoding, which also tells NULL and NaN apart from everything else.
+// It returns Batch's result.
+func matchFullWalk(t *testing.T, label string, r *relation.Relation, set *cfd.Set, opts Options) *Result {
+	t.Helper()
+	got, gotErr := Batch(r, set, opts)
+	want, wantErr := batchFullWalk(r, set, opts)
+	if gotErr != nil || wantErr != nil {
+		t.Fatalf("%s: err = %v, reference %v", label, gotErr, wantErr)
+	}
+	enc := func(v relation.Value) string { return string(v.Encode(nil)) }
+	if got.Passes != want.Passes || got.Cost != want.Cost || len(got.Changes) != len(want.Changes) {
+		t.Fatalf("%s: passes %d cost %v changes %d, reference passes %d cost %v changes %d", label,
+			got.Passes, got.Cost, len(got.Changes), want.Passes, want.Cost, len(want.Changes))
+	}
+	for i, g := range got.Changes {
+		w := want.Changes[i]
+		if g.TID != w.TID || g.Attr != w.Attr || enc(g.From) != enc(w.From) || enc(g.To) != enc(w.To) {
+			t.Fatalf("%s: change %d = %v, reference %v", label, i, g, w)
+		}
+	}
+	for tid := 0; tid < want.Repaired.Len(); tid++ {
+		for attr := 0; attr < want.Repaired.Schema().Arity(); attr++ {
+			if g, w := got.Repaired.Get(tid, attr), want.Repaired.Get(tid, attr); enc(g) != enc(w) {
+				t.Fatalf("%s: cell (%d,%d) = %v, reference %v", label, tid, attr, g, w)
+			}
+		}
+	}
+	return got
+}
+
+// dirtyCust corrupts one cell of attrs in a rate share of a clean cust
+// relation's tuples: half typos, half swaps with another tuple's value
+// (internal/noise does this for everyone else, but imports this package).
+func dirtyCust(n int, rate float64, attrs []int, seed int64) *relation.Relation {
+	r := datagen.Cust(n, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	for _, tid := range rng.Perm(n)[:int(rate*float64(n))] {
+		attr := attrs[rng.Intn(len(attrs))]
+		v := r.Get(rng.Intn(n), attr)
+		if rng.Intn(2) == 0 || v.Identical(r.Get(tid, attr)) {
+			v = relation.String(r.Get(tid, attr).Str() + string(rune('a'+rng.Intn(26))))
+		}
+		r.Set(tid, attr, v)
+	}
+	return r
+}
+
+// TestBatchMatchesFullWalk is the oracle for the touched-cells pass: on
+// noisy cust relations Batch and the full-walk reference return the
+// same outcome, whatever the noise rate, the corrupted attributes (RHS
+// only, as the benchmark does, or any attribute, which also breaks LHS
+// patterns and forces classes to fresh values) and the confirmed cells.
+func TestBatchMatchesFullWalk(t *testing.T) {
+	s := datagen.CustSchema()
+	set, err := cfd.ParseSet(datagen.CustConstraints().String()+"\ncfd phi5: cust([CT, ZIP] -> [STR])\n", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrSets := [][]int{
+		{s.MustIndex("STR"), s.MustIndex("CT")},
+		{s.MustIndex("CC"), s.MustIndex("AC"), s.MustIndex("STR"), s.MustIndex("CT"), s.MustIndex("ZIP")},
+	}
+	for _, rate := range []float64{0, 0.01, 0.05, 0.20} {
+		for seed := int64(1); seed <= 6; seed++ {
+			for ai, attrs := range attrSets {
+				r := dirtyCust(150+int(seed)*50, rate, attrs, seed)
+				// Every seventh cell confirmed: ties and medoids shift
+				// towards them, and a confirmed dirty cell drags its class.
+				confirmed := func(tid, attr int) float64 {
+					if (tid*s.Arity()+attr)%7 == int(seed)%7 {
+						return 1e6
+					}
+					return 1
+				}
+				for wi, w := range []WeightFn{nil, confirmed} {
+					label := fmt.Sprintf("rate %v seed %d attrs %d weights %d", rate, seed, ai, wi)
+					got := matchFullWalk(t, label, r, set, Options{Weights: w})
+					if rate == 0 && (got.Passes != 1 || len(got.Changes) != 0) {
+						t.Fatalf("%s: clean relation took %d passes, %d changes", label, got.Passes, len(got.Changes))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchClassForcedToTwoConstants: two rules bind two cells to
+// different constants and a third merges them in the same pass, so the
+// class escalates to a fresh value — which must be written to every
+// member.
+func TestBatchClassForcedToTwoConstants(t *testing.T) {
+	s := custSchema(t)
+	set, err := cfd.ParseSet(`
+cust([CC='44'] -> [CT='edi'])
+cust([CC='01'] -> [CT='mh'])
+cust([ZIP] -> [CT])
+`, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(s)
+	r.MustInsert(strTuple("44", "131", "1", "a", "s", "gla", "Z"))
+	r.MustInsert(strTuple("01", "908", "2", "b", "s", "nyc", "Z"))
+	got := matchFullWalk(t, "two constants", r, set, Options{})
+	if err := Verify(got, set); err != nil {
+		t.Fatal(err)
+	}
+	ct := s.MustIndex("CT")
+	a, b := got.Repaired.Get(0, ct), got.Repaired.Get(1, ct)
+	if !a.Identical(b) || !strings.HasPrefix(a.Str(), "⊥") {
+		t.Errorf("CT = %v, %v; want one fresh value on both", a, b)
+	}
+}
+
+// TestBatchCostTieGoesToLowestCell: three streets at pairwise equal
+// distance tie on cost; the exact medoid keeps the first minimum in
+// member order, so the class must take the lowest cell id's value even
+// though the violation lists (and so merges) the members base-first.
+func TestBatchCostTieGoesToLowestCell(t *testing.T) {
+	s := custSchema(t)
+	set, err := cfd.ParseSet("cust([ZIP] -> [STR])\ncust([CT] -> [STR])", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(s)
+	r.MustInsert(strTuple("44", "131", "1", "a", "xa", "c1", "Z1"))
+	r.MustInsert(strTuple("44", "131", "2", "b", "xb", "c2", "Z2"))
+	r.MustInsert(strTuple("44", "131", "3", "c", "xc", "c1", "Z2"))
+	got := matchFullWalk(t, "tie", r, set, Options{})
+	str := s.MustIndex("STR")
+	for tid := 0; tid < 3; tid++ {
+		if v := got.Repaired.Get(tid, str).Str(); v != "xa" {
+			t.Errorf("tuple %d STR = %q, want the lowest cell's xa", tid, v)
+		}
+	}
+}
+
+// TestBatchIgnoresUntouchedNaN: NaN is never Identical to itself, so
+// the full scan used to report every NaN cell as a NaN → NaN change of
+// cost 1. A cell outside every violated class is not a change.
+func TestBatchIgnoresUntouchedNaN(t *testing.T) {
+	s, err := relation.NewSchema("m", relation.Attribute{Name: "K", Kind: relation.KindString}, relation.Attribute{Name: "V", Kind: relation.KindFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := cfd.ParseSet("m([K] -> [V])", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(s)
+	r.MustInsert(relation.Tuple{relation.String("k"), relation.Float(math.NaN())})
+	res, err := Batch(r, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Changes) != 0 || res.Cost != 0 || res.Passes != 1 {
+		t.Errorf("changes %v cost %v passes %d, want none in one pass", res.Changes, res.Cost, res.Passes)
+	}
+}
+
+// batchFullWalk is Batch as it stood before a pass was made to cost
+// O(cells in violated classes): materialize walks all n × arity cells,
+// regroups them by class root and rewrites every one on every pass, and
+// finishFullScan diffs every cell. It is the reference Batch is
+// property-tested against; the violation loop is the same text.
+func batchFullWalk(r *relation.Relation, set *cfd.Set, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	if !r.Schema().Equal(set.Schema()) {
+		return nil, fmt.Errorf("repair: relation %s does not match constraint schema %s",
+			r.Schema().Name(), set.Schema().Name())
+	}
+	arity := r.Schema().Arity()
+	n := r.Len() * arity
+	uf := newUnionFind(n)
+	targets := make(map[int]cellTarget)
+	freshCounter := 0
+
+	work := r.Clone()
+	orig := r // original values for cost computation
+
+	cellID := func(tid, attr int) int { return tid*arity + attr }
+
+	// setConst binds the class of cell to a constant; on conflict with a
+	// different constant the class escalates to fresh.
+	setConst := func(cell int, v relation.Value) {
+		root := uf.find(cell)
+		t := targets[root]
+		switch t.kind {
+		case targetUnset:
+			targets[root] = cellTarget{targetConst, v}
+		case targetConst:
+			if !t.value.Identical(v) {
+				freshCounter++
+				targets[root] = cellTarget{targetFresh, freshValue(r.Schema().Attr(cell%arity).Kind, freshCounter)}
+			}
+		case targetFresh:
+			// stays fresh
+		}
+	}
+
+	merge := func(a, b int) {
+		ra, rb := uf.find(a), uf.find(b)
+		if ra == rb {
+			return
+		}
+		ta, tb := targets[ra], targets[rb]
+		root := uf.union(ra, rb)
+		delete(targets, ra)
+		delete(targets, rb)
+		switch {
+		case ta.kind == targetFresh || tb.kind == targetFresh:
+			freshCounter++
+			targets[root] = cellTarget{targetFresh, freshValue(r.Schema().Attr(a%arity).Kind, freshCounter)}
+		case ta.kind == targetConst && tb.kind == targetConst && !ta.value.Identical(tb.value):
+			freshCounter++
+			targets[root] = cellTarget{targetFresh, freshValue(r.Schema().Attr(a%arity).Kind, freshCounter)}
+		case ta.kind == targetConst:
+			targets[root] = ta
+		case tb.kind == targetConst:
+			targets[root] = tb
+		default:
+			delete(targets, root)
+		}
+	}
+
+	// materialize writes every cell's class value into work.
+	members := make(map[int][]int) // root -> member cells (rebuilt per pass)
+	materialize := func() {
+		for k := range members {
+			delete(members, k)
+		}
+		for cell := 0; cell < n; cell++ {
+			root := uf.find(cell)
+			members[root] = append(members[root], cell)
+		}
+		for root, cells := range members {
+			if len(cells) == 1 {
+				if t, ok := targets[root]; ok && t.kind != targetUnset {
+					work.Set(cells[0]/arity, cells[0]%arity, t.value)
+				} else {
+					work.Set(cells[0]/arity, cells[0]%arity, orig.Get(cells[0]/arity, cells[0]%arity))
+				}
+				continue
+			}
+			var v relation.Value
+			if t, ok := targets[root]; ok && t.kind != targetUnset {
+				v = t.value
+			} else {
+				v = classValue(orig, cells, arity, opts)
+			}
+			for _, cell := range cells {
+				work.Set(cell/arity, cell%arity, v)
+			}
+		}
+	}
+
+	detector := cfd.NewDetector(set)
+	passes := 0
+	for ; passes < opts.MaxPasses; passes++ {
+		materialize()
+		vs, err := detector.Detect(work)
+		if err != nil {
+			return nil, err
+		}
+		if len(vs) == 0 {
+			return finishFullScan(orig, work, passes+1, opts), nil
+		}
+		progress := false
+		for _, v := range vs {
+			switch v.Kind {
+			case cfd.VarViolation:
+				base := cellID(v.TIDs[0], v.Attr)
+				for _, tid := range v.TIDs[1:] {
+					if !uf.sameSet(base, cellID(tid, v.Attr)) {
+						progress = true
+					}
+					merge(base, cellID(tid, v.Attr))
+				}
+			case cfd.ConstViolation:
+				// Find the required constant from the violated row.
+				c := v.CFD
+				rhsIdx := indexOf(c.RHS(), v.Attr)
+				pat := c.RowRHS(v.Row)[rhsIdx]
+				cell := cellID(v.TIDs[0], v.Attr)
+				root := uf.find(cell)
+				t := targets[root]
+				if t.kind == targetUnset || (t.kind == targetConst && t.value.Identical(pat.Constant())) {
+					prev := targets[root]
+					setConst(cell, pat.Constant())
+					if targets[uf.find(cell)] != prev {
+						progress = true
+					}
+					continue
+				}
+				// The RHS cell is already bound to a different constant
+				// (or fresh): binding it to this row's constant cannot
+				// succeed. Resolve by moving the tuple out of the row's
+				// scope instead — break a constant LHS pattern (the
+				// paper's alternative resolution for constant
+				// violations).
+				lhs := c.LHS()
+				for i, lhsAttr := range lhs {
+					lp := c.RowLHS(v.Row)[i]
+					if !lp.IsConst() {
+						continue
+					}
+					lcell := cellID(v.TIDs[0], lhsAttr)
+					lroot := uf.find(lcell)
+					lt := targets[lroot]
+					if lt.kind == targetFresh {
+						continue // already off-pattern; try another attr
+					}
+					if lt.kind == targetConst && lt.value.Identical(lp.Constant()) {
+						continue // bound to match; cannot break here
+					}
+					freshCounter++
+					targets[lroot] = cellTarget{
+						targetFresh,
+						freshValue(r.Schema().Attr(lhsAttr).Kind, freshCounter),
+					}
+					progress = true
+					break
+				}
+			}
+		}
+		if !progress {
+			// Every violation is already fully resolved in the class
+			// structure yet still materializes as a violation: the
+			// remaining conflicts are between forced constants and
+			// pattern scopes (e.g. the fresh value re-enters another
+			// pattern). One more materialize handles fresh escalation;
+			// if the state is truly stuck the set is unsatisfiable here.
+			return nil, fmt.Errorf("repair: no progress after %d passes; the CFD set is likely unsatisfiable on this schema (run cfd.Satisfiable)", passes+1)
+		}
+	}
+	return nil, fmt.Errorf("repair: pass limit %d exceeded", opts.MaxPasses)
+}
+
+// finishFullScan computes the change list and cost over every cell.
+func finishFullScan(orig, work *relation.Relation, passes int, opts Options) *Result {
+	var changes []Change
+	cost := 0.0
+	arity := orig.Schema().Arity()
+	for tid := 0; tid < orig.Len(); tid++ {
+		for attr := 0; attr < arity; attr++ {
+			from, to := orig.Get(tid, attr), work.Get(tid, attr)
+			if from.Identical(to) {
+				continue
+			}
+			changes = append(changes, Change{TID: tid, Attr: attr, From: from, To: to})
+			cost += opts.Weights(tid, attr) * valueDistance(from, to)
+		}
+	}
+	sort.Slice(changes, func(i, j int) bool {
+		if changes[i].TID != changes[j].TID {
+			return changes[i].TID < changes[j].TID
+		}
+		return changes[i].Attr < changes[j].Attr
+	})
+	return &Result{Repaired: work, Changes: changes, Cost: cost, Passes: passes}
 }
