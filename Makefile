@@ -42,7 +42,9 @@ race:
 # TestConcurrentDCDetectAppendDiscover, and tiered-storage demotions
 # and mmap page-ins racing dirty appends with pending cell patches in
 # TestSpillDemotePageInConcurrent and
-# TestConcurrentSpillDemoteDirtyAppend) with a higher count, so
+# TestConcurrentSpillDemoteDirtyAppend, and in internal/server a cluster
+# detect overtaken by an append between its scatter and its cache store
+# in TestClusterDetectOvertakenByAppend) with a higher count, so
 # cache-sharing races surface on every push. GOMAXPROCS is forced up so
 # the scheduler actually interleaves the readers even on small CI boxes
 # — the Get/GetDelta compaction race stayed hidden on a 1-core host
@@ -104,14 +106,16 @@ bench-spill:
 # in-process server.read / detect / append spans against the self times
 # of the twin rungs under them; the traced cold-batch run adds the
 # ladder's repair rung: repair.Batch on the twin relation, then a
-# detection that must find nothing. Correctness only: a shared runner
-# cannot hold a timing bound. Measure with `bash bench/run.sh` and
-# `make bench-compare`.
+# detection that must find nothing; the traced cluster-mixed run adds
+# the merge probe (per-CFD ShardGroups + cfd.MergeShards over real
+# loopback HTTP) and the cluster ≡ single-process output check under
+# tracing. Correctness only: a shared runner cannot hold a timing bound.
+# Measure with `bash bench/run.sh` and `make bench-compare`.
 bench-smoke:
 	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0; \
 	done
-	for w in serve-mixed cold-batch; do \
+	for w in serve-mixed cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1; \
 	done
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -3,6 +3,7 @@ package cfd
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,20 +27,26 @@ import (
 //     constant-RHS checks are per-tuple, and variable-RHS checks only
 //     see the group's members — all local).
 //   - A group present in two or more shards (a BOUNDARY group, the one
-//     place the range cut crosses a partition class) is replayed at the
-//     coordinator from the shards' shipped members: constant checks are
-//     per-tuple pattern matches on the shipped values, and variable
-//     (wildcard-RHS) checks run the exact groupVarConflict semantics
-//     over the concatenated membership. Local violations of boundary
-//     groups are discarded — a shard's view of such a group is wrong in
-//     both directions for wildcard RHS (a locally-agreeing group can
-//     disagree globally, and a reported conflict carries a truncated
-//     TID list).
+//     place the range cut crosses a partition class) is merged from
+//     per-shard facts, the way Q_V's GROUP BY merges partial aggregates
+//     without moving tuples. Constant-RHS checks are per-tuple, so the
+//     shards' local constant violations are exact: they are kept and
+//     interleaved by (tableau row, RHS attribute, worker), the order
+//     detectGroupsPrepared emits them in over the whole membership. A
+//     shard's wildcard-RHS verdicts are wrong in both directions (a
+//     locally-agreeing group can disagree globally, and a reported
+//     conflict carries a truncated TID list); they are dropped and
+//     decided from one BoundaryGroup summary per shard (sidesConflict).
 //
 // The result is byte-identical to single-process Detect over the
-// unpartitioned relation (property-tested in scatter_test.go), and only
-// the boundary groups' member values cross the wire — MergeStats
-// reports that residual fraction.
+// unpartitioned relation (property-tested in scatter_test.go against
+// Detect and against a replay of the groups' shipped member rows). A
+// boundary group costs the wire its member TIDs plus O(1) values per
+// shard. Boundary is not small: on the benchmark's n = 20 000 cust
+// relation and five CFDs, 779 of 21 207 groups straddle the cut (3.7 %),
+// but they are the six {CC, AC} groups and the hot zips — 79 555
+// members, the relation four times over; shipping their rows was 71 ms
+// of a 103 ms detect. MergeStats.BoundaryTuples still counts them.
 
 // ShardGroup is one X-group of one CFD on one shard.
 type ShardGroup struct {
@@ -137,29 +144,52 @@ func scanGroups(r *relation.Relation, c *CFD, pli *relation.PLI, lo, hi int, pre
 	return out
 }
 
-// BoundaryGroup is the shipped membership of one boundary group on one
-// shard: global TIDs (ascending) and, per member, a full-arity tuple
-// with (at least) the CFD's LHS and RHS attributes populated.
+// BoundaryGroup is one shard's side of one boundary group: the member
+// TIDs (global, ascending) and its summary over the query's ValAttrs.
+// Rows[0] is the first member's tuple (indexed by attribute position,
+// populated on ValAttrs) and Differs lists the value attributes on
+// which some member is not Identical to it; a GroupQuery.Rows query
+// gets all members' tuples in Rows. Empty TIDs: the shard has no such
+// group.
 type BoundaryGroup struct {
-	TIDs []int
-	Rows []relation.Tuple
+	TIDs    []int
+	Rows    []relation.Tuple
+	Differs []int
 }
 
-// BoundaryFetcher retrieves boundary-group members for CFD cfdIdx: for
-// each requested key, the per-worker memberships (result[w][k] for
-// worker w, key k; empty TIDs where the worker has no such group —
-// tolerated, since a racing append can shift membership between the
-// detect and fetch phases).
+// GroupQuery asks a shard for its side of the groups, in the partition
+// over PartAttrs, that have the given composite keys (raw Encode bytes;
+// base64 in the JSON the shard protocol sends it as).
+type GroupQuery struct {
+	PartAttrs []int    `json:"part_attrs"`
+	ValAttrs  []int    `json:"val_attrs"`
+	Keys      [][]byte `json:"keys"`
+	// Rows ships every member's values, not just the first one's: the DC
+	// pair replay needs them, the CFD merge works from the summary.
+	Rows bool `json:"rows,omitempty"`
+}
+
+// BoundaryFetcher retrieves the shards' sides of CFD cfdIdx's boundary
+// groups: result[w][k] for worker w, key k, summarized over (at least)
+// the CFD's LHS and RHS attributes; empty TIDs where the worker has no
+// such group — tolerated, since a racing append can shift membership
+// between the detect and fetch phases.
 type BoundaryFetcher func(cfdIdx int, keys []string) ([][]BoundaryGroup, error)
 
+// BatchFetcher is BoundaryFetcher for all CFDs in one round: queries[ci]
+// holds CFD ci's boundary keys, result[w][ci][k] is worker w's side of
+// queries[ci].Keys[k], and result[w] is nil for a worker with nothing
+// to contribute.
+type BatchFetcher func(queries []GroupQuery) ([][][]BoundaryGroup, error)
+
 // MergeStats quantifies the residual pass: how much of the partition
-// straddled the range cuts and had to ship member values.
+// straddled the range cuts.
 type MergeStats struct {
 	// Groups counts distinct (CFD, group) pairs across the cluster;
 	// BoundaryGroups the subset present on 2+ shards.
 	Groups         int `json:"groups"`
 	BoundaryGroups int `json:"boundary_groups"`
-	// BoundaryTuples counts the member rows shipped for the replay.
+	// BoundaryTuples counts the members of those groups.
 	BoundaryTuples int `json:"boundary_tuples"`
 }
 
@@ -172,47 +202,53 @@ func (m MergeStats) BoundaryFraction() float64 {
 	return float64(m.BoundaryGroups) / float64(m.Groups)
 }
 
-// CollectGroups is the worker-side half of the boundary fetch: for each
-// requested composite key over partAttrs, the matching group's local
-// TIDs plus per-member full-arity tuples populated on valAttrs. Keys
-// with no matching group return empty entries.
-func CollectGroups(r *relation.Relation, cache *relation.IndexCache, partAttrs, valAttrs []int, keys []string) []BoundaryGroup {
+// CollectGroups is the worker-side half of the boundary fetch. Each key
+// is decoded into its values and probed in the partition's lookup map,
+// so the cost follows the requested groups, not the partition. Keys
+// with no matching group return empty entries; a key that is not
+// q.PartAttrs' worth of encoded values is an error.
+func CollectGroups(r *relation.Relation, cache *relation.IndexCache, q GroupQuery) ([]BoundaryGroup, error) {
+	out := make([]BoundaryGroup, len(q.Keys))
+	if len(q.Keys) == 0 {
+		return out, nil
+	}
 	if cache == nil {
 		cache = relation.NewIndexCache()
 	}
-	pli := cache.Get(r, partAttrs)
-	want := make(map[string]int, len(keys))
-	for i, k := range keys {
-		want[k] = i
-	}
-	out := make([]BoundaryGroup, len(keys))
-	var key []byte
-	arity := r.Schema().Arity()
-	for g, n := 0, pli.NumGroups(); g < n; g++ {
-		tids := pli.Group(g)
+	pli := cache.Get(r, q.PartAttrs)
+	for i, k := range q.Keys {
+		vals, err := relation.DecodeTuple(k, len(q.PartAttrs))
+		if err != nil {
+			return nil, fmt.Errorf("cfd: boundary key %d: %w", i, err)
+		}
+		tids := pli.Lookup(vals)
 		if len(tids) == 0 {
 			continue
 		}
-		key = r.AppendGroupKey(key[:0], tids[0], partAttrs)
-		i, ok := want[string(key)]
-		if !ok {
-			continue
+		// Lookup may alias index storage, and callers translate in place.
+		bg := BoundaryGroup{TIDs: slices.Clone(tids)}
+		for _, a := range q.ValAttrs {
+			if groupVarConflict(r, r.ColumnCodes(a), tids, a) {
+				bg.Differs = append(bg.Differs, a)
+			}
 		}
-		bg := BoundaryGroup{TIDs: append([]int(nil), tids...), Rows: make([]relation.Tuple, len(tids))}
-		for m, tid := range tids {
-			row := make(relation.Tuple, arity)
-			for _, a := range valAttrs {
+		if !q.Rows {
+			tids = tids[:1]
+		}
+		for _, tid := range tids {
+			row := make(relation.Tuple, r.Schema().Arity())
+			for _, a := range q.ValAttrs {
 				row[a] = r.Get(tid, a)
 			}
-			bg.Rows[m] = row
+			bg.Rows = append(bg.Rows, row)
 		}
 		out[i] = bg
 	}
-	return out
+	return out, nil
 }
 
 // LHSRHSAttrs returns the sorted union of a CFD's X and Y attribute
-// positions — the value attributes a boundary replay needs shipped.
+// positions — the value attributes a boundary summary must cover.
 func (c *CFD) LHSRHSAttrs() []int {
 	out := append(append([]int(nil), c.lhs...), c.rhs...)
 	sort.Ints(out)
@@ -223,127 +259,153 @@ func (c *CFD) LHSRHSAttrs() []int {
 // violation list, byte-identical to single-process Detect over the
 // union relation. offsets[w] is worker w's global TID offset (workers
 // in ascending TID-range order); shards[w] is worker w's DetectShards
-// output. fetch supplies boundary-group members on demand; it is called
-// at most once per CFD (with all of that CFD's boundary keys) and never
-// when no group straddles a cut.
+// output. fetch is called at most once per CFD (with all of that CFD's
+// boundary keys) and never when no group straddles a cut.
 func MergeShards(set *Set, offsets []int, shards [][]ShardResult, fetch BoundaryFetcher) ([]Violation, MergeStats, error) {
-	var out []Violation
+	return MergeShardsBatch(set, offsets, shards, func(queries []GroupQuery) ([][][]BoundaryGroup, error) {
+		sides := make([][][]BoundaryGroup, len(shards))
+		for w := range sides {
+			sides[w] = make([][]BoundaryGroup, len(queries))
+		}
+		for ci, q := range queries {
+			if len(q.Keys) == 0 {
+				continue
+			}
+			if fetch == nil {
+				return nil, fmt.Errorf("%d boundary groups for %s but no fetcher configured", len(q.Keys), set.cfds[ci].name)
+			}
+			keys := make([]string, len(q.Keys))
+			for k, raw := range q.Keys {
+				keys[k] = string(raw)
+			}
+			fetched, err := fetch(ci, keys)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", set.cfds[ci].name, err)
+			}
+			if len(fetched) != len(shards) {
+				return nil, fmt.Errorf("%s: fetch returned %d workers, want %d", set.cfds[ci].name, len(fetched), len(shards))
+			}
+			for w := range sides {
+				sides[w][ci] = fetched[w]
+			}
+		}
+		return sides, nil
+	})
+}
+
+// MergeShardsBatch is MergeShards with every CFD's boundary groups
+// fetched in one call, made only when some group straddles a cut — one
+// round trip per worker however many CFDs the set has.
+func MergeShardsBatch(set *Set, offsets []int, shards [][]ShardResult, fetch BatchFetcher) ([]Violation, MergeStats, error) {
 	var stats MergeStats
+	W := len(shards)
 	for w, sr := range shards {
 		if len(sr) != len(set.cfds) {
 			return nil, stats, fmt.Errorf("cfd: shard %d returned %d CFD results, set has %d", w, len(sr), len(set.cfds))
 		}
 	}
-	for ci, c := range set.cfds {
-		merged, err := mergeCFD(c, ci, offsets, shards, fetch, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		out = append(out, merged...)
-	}
-	return out, stats, nil
-}
-
-// mergeCFD runs the k-way key merge for one CFD.
-func mergeCFD(c *CFD, ci int, offsets []int, shards [][]ShardResult, fetch BoundaryFetcher, stats *MergeStats) ([]Violation, error) {
-	W := len(shards)
-	streams := make([][]ShardGroup, W)
+	// Pass 1: k-way merge every CFD's key-sorted streams into the global
+	// group order. Per global group, at[ci] gets W stream indexes (-1
+	// where the worker does not hold it) and boundary[ci] the group's
+	// index in queries[ci].Keys (-1 for a sole-owner group).
+	queries := make([]GroupQuery, len(set.cfds))
+	at := make([][]int32, len(set.cfds))
+	boundary := make([][]int32, len(set.cfds))
 	pos := make([]int, W)
-	for w := range shards {
-		streams[w] = shards[w][ci].Groups
-	}
-
-	// Pass 1: k-way merge the key-sorted streams into the global group
-	// order, partitioning into sole-owner groups (emit local violations
-	// verbatim) and boundary groups (collect keys for the residual
-	// fetch). mergeUnit remembers, per global group in order, how to
-	// produce its violations in pass 2.
-	type mergeUnit struct {
-		soleWorker int // -1 for boundary groups
-		soleGroup  *ShardGroup
-		boundary   int // index into boundaryKeys
-	}
-	var units []mergeUnit
-	var boundaryKeys []string
-	for {
-		minKey := ""
-		found := false
-		for w := 0; w < W; w++ {
-			if pos[w] < len(streams[w]) {
-				k := streams[w][pos[w]].Key
-				if !found || k < minKey {
-					minKey, found = k, true
+	for ci, c := range set.cfds {
+		queries[ci] = GroupQuery{PartAttrs: c.lhs, ValAttrs: c.LHSRHSAttrs()}
+		clear(pos)
+		for {
+			minKey, found := "", false
+			for w := range shards {
+				if g := shards[w][ci].Groups; pos[w] < len(g) && (!found || g[pos[w]].Key < minKey) {
+					minKey, found = g[pos[w]].Key, true
 				}
 			}
-		}
-		if !found {
-			break
-		}
-		var holders []int
-		for w := 0; w < W; w++ {
-			if pos[w] < len(streams[w]) && streams[w][pos[w]].Key == minKey {
-				holders = append(holders, w)
+			if !found {
+				break
 			}
-		}
-		stats.Groups++
-		if len(holders) == 1 {
-			w := holders[0]
-			units = append(units, mergeUnit{soleWorker: w, soleGroup: &streams[w][pos[w]]})
-		} else {
-			units = append(units, mergeUnit{soleWorker: -1, boundary: len(boundaryKeys)})
-			boundaryKeys = append(boundaryKeys, minKey)
-			stats.BoundaryGroups++
-		}
-		for _, w := range holders {
-			pos[w]++
+			holders := 0
+			for w := range shards {
+				idx := int32(-1)
+				if g := shards[w][ci].Groups; pos[w] < len(g) && g[pos[w]].Key == minKey {
+					idx = int32(pos[w])
+					pos[w]++
+					holders++
+				}
+				at[ci] = append(at[ci], idx)
+			}
+			stats.Groups++
+			b := int32(-1)
+			if holders > 1 {
+				b = int32(len(queries[ci].Keys))
+				queries[ci].Keys = append(queries[ci].Keys, []byte(minKey))
+				stats.BoundaryGroups++
+			}
+			boundary[ci] = append(boundary[ci], b)
 		}
 	}
 
-	// Residual fetch: the boundary groups' members, per worker.
-	var members [][]BoundaryGroup
-	if len(boundaryKeys) > 0 {
-		if fetch == nil {
-			return nil, fmt.Errorf("cfd: %d boundary groups for %s but no fetcher configured", len(boundaryKeys), c.name)
-		}
+	sides := make([][][]BoundaryGroup, W)
+	if stats.BoundaryGroups > 0 {
 		var err error
-		members, err = fetch(ci, boundaryKeys)
-		if err != nil {
-			return nil, fmt.Errorf("cfd: fetching boundary groups for %s: %w", c.name, err)
+		if sides, err = fetch(queries); err != nil {
+			return nil, stats, fmt.Errorf("cfd: fetching boundary groups: %w", err)
 		}
-		if len(members) != len(shards) {
-			return nil, fmt.Errorf("cfd: boundary fetch for %s returned %d workers, want %d", c.name, len(members), len(shards))
+		if len(sides) != W {
+			return nil, stats, fmt.Errorf("cfd: boundary fetch returned %d workers, want %d", len(sides), W)
+		}
+		for w, s := range sides {
+			if s == nil {
+				continue
+			}
+			for ci, q := range queries {
+				if len(s) != len(queries) || len(s[ci]) != len(q.Keys) {
+					return nil, stats, fmt.Errorf("cfd: boundary fetch: worker %d answered the wrong number of CFDs or keys", w)
+				}
+				need := q.ValAttrs[len(q.ValAttrs)-1] + 1 // a summary must reach the CFD's last attribute
+				for _, g := range s[ci] {
+					if len(g.TIDs) > 0 && (len(g.Rows) == 0 || len(g.Rows[0]) < need) {
+						return nil, stats, fmt.Errorf("cfd: boundary group of %s: worker %d's summary does not cover attribute %d", set.cfds[ci].name, w, need-1)
+					}
+				}
+			}
 		}
 	}
 
 	// Pass 2: emit in global group order.
 	var out []Violation
-	for _, u := range units {
-		if u.soleWorker >= 0 {
-			out = appendTranslated(out, c, u.soleGroup.Vios, offsets[u.soleWorker])
-			continue
-		}
-		// Concatenate the shipped memberships in worker order: ranges
-		// are contiguous and ascending, so this is ascending global TID
-		// order — the single-process group membership.
-		var tids []int
-		var rows []relation.Tuple
-		for w := 0; w < W; w++ {
-			bg := members[w][u.boundary]
-			if len(bg.TIDs) != len(bg.Rows) {
-				return nil, fmt.Errorf("cfd: boundary group of %s: %d TIDs but %d rows from worker %d",
-					c.name, len(bg.TIDs), len(bg.Rows), w)
+	local := make([]*ShardGroup, W)
+	group := make([]BoundaryGroup, W)
+	for ci, c := range set.cfds {
+		for u, b := range boundary[ci] {
+			for w, idx := range at[ci][u*W : (u+1)*W] {
+				local[w], group[w] = nil, BoundaryGroup{}
+				if idx >= 0 {
+					local[w] = &shards[w][ci].Groups[idx]
+				}
+				if b >= 0 && sides[w] != nil {
+					group[w] = sides[w][ci][b]
+				}
 			}
-			tids = append(tids, bg.TIDs...)
-			rows = append(rows, bg.Rows...)
+			if b >= 0 {
+				var n int
+				out, n = mergeBoundary(out, c, offsets, local, group)
+				stats.BoundaryTuples += n
+				continue
+			}
+			for w, g := range local {
+				if g != nil {
+					out = appendTranslated(out, c, g.Vios, offsets[w])
+				}
+			}
 		}
-		stats.BoundaryTuples += len(tids)
-		out = append(out, replayGroup(c, tids, rows)...)
 	}
-	return out, nil
+	return out, stats, nil
 }
 
 // appendTranslated appends vs with every TID shifted by off — the
-// local→global translation for a sole-owner group.
+// local→global translation of a shard's violations.
 func appendTranslated(dst []Violation, c *CFD, vs []Violation, off int) []Violation {
 	for _, v := range vs {
 		tids := make([]int, len(v.TIDs))
@@ -355,61 +417,67 @@ func appendTranslated(dst []Violation, c *CFD, vs []Violation, off int) []Violat
 	return dst
 }
 
-// replayGroup re-runs the single-group detection of detectGroupsPrepared
-// on a shipped membership, value-exactly. Row matching, constant checks
-// and wildcard conflicts depend only on the members' values (code fast
-// paths are extensionally pattern/Identical checks — see the
-// detectGroupsPrepared documentation), so evaluating the exact semantics
-// directly on the shipped rows reproduces the emission byte for byte:
-// rows outer, RHS attributes inner, constant violations per member in
-// TID order, variable violations once per conflicting group.
-func replayGroup(c *CFD, tids []int, rows []relation.Tuple) []Violation {
-	if len(tids) == 0 {
-		return nil
+// mergeBoundary emits one boundary group of c in detectGroupsPrepared's
+// order — tableau rows outer, RHS attributes inner — and returns its
+// member count. local[w] is worker w's phase-1 group (nil where it
+// holds none), whose violations are already in that order, so a cursor
+// per worker walks them: constant violations are re-emitted worker by
+// worker (ascending global TIDs); the shards' wildcard verdicts are
+// skipped for the verdict over sides, whose concatenated TIDs are the
+// global membership.
+func mergeBoundary(dst []Violation, c *CFD, offsets []int, local []*ShardGroup, sides []BoundaryGroup) ([]Violation, int) {
+	total, w0 := 0, -1
+	for w, g := range sides {
+		if len(g.TIDs) > 0 && w0 < 0 {
+			w0 = w
+		}
+		total += len(g.TIDs)
 	}
-	var out []Violation
 	nl := len(c.lhs)
-	rep := rows[0]
+	cur := make([]int, len(local))
 	for rowIdx, row := range c.tableau {
-		if !row[:nl].Matches(rep, c.lhs) {
-			continue
-		}
+		matched := total >= 2 && row[:nl].Matches(sides[w0].Rows[0], c.lhs)
 		for j, attr := range c.rhs {
-			p := row[nl+j]
-			if p.IsConst() {
-				for m, tid := range tids {
-					if !p.Matches(rows[m][attr]) {
-						out = append(out, Violation{
-							CFD: c, Row: rowIdx, Kind: ConstViolation,
-							Attr: attr, TIDs: []int{tid},
-						})
-					}
+			isConst := row[nl+j].IsConst()
+			for w, g := range local {
+				if g == nil {
+					continue
 				}
-				continue
-			}
-			if len(tids) < 2 {
-				continue
-			}
-			// groupVarConflict semantics: disagree iff some member is
-			// not Identical to the FIRST member's value (NaN is never
-			// Identical to itself, NULL is Identical to NULL).
-			first := rep[attr]
-			conflict := false
-			for m := 1; m < len(rows); m++ {
-				if !rows[m][attr].Identical(first) {
-					conflict = true
-					break
+				from := cur[w]
+				for cur[w] < len(g.Vios) && g.Vios[cur[w]].Row == rowIdx && g.Vios[cur[w]].Attr == attr {
+					cur[w]++
+				}
+				if isConst {
+					dst = appendTranslated(dst, c, g.Vios[from:cur[w]], offsets[w])
 				}
 			}
-			if conflict {
-				group := append([]int(nil), tids...)
-				sort.Ints(group)
-				out = append(out, Violation{
-					CFD: c, Row: rowIdx, Kind: VarViolation,
-					Attr: attr, TIDs: group,
-				})
+			if isConst || !matched || !sidesConflict(sides, w0, attr) {
+				continue
 			}
+			group := make([]int, 0, total)
+			for _, g := range sides {
+				group = append(group, g.TIDs...)
+			}
+			dst = append(dst, Violation{CFD: c, Row: rowIdx, Kind: VarViolation, Attr: attr, TIDs: group})
 		}
 	}
-	return out
+	return dst, total
+}
+
+// sidesConflict is groupVarConflict over summaries. Some member is not
+// Identical to the global first member (shard w0's) iff some shard's
+// members are not all Identical to its own first, or its first is not
+// Identical to the global one: Identical is symmetric and transitive
+// (NaN is Identical to nothing, itself included; NULL to NULL) as long
+// as an integer compared with a float is exact in float64, which
+// Equal's numeric comparison presumes.
+func sidesConflict(sides []BoundaryGroup, w0, attr int) bool {
+	first := sides[w0].Rows[0][attr]
+	for w := w0; w < len(sides); w++ {
+		g := sides[w]
+		if len(g.TIDs) > 0 && (slices.Contains(g.Differs, attr) || (w != w0 && !g.Rows[0][attr].Identical(first))) {
+			return true
+		}
+	}
+	return false
 }

@@ -64,8 +64,12 @@ type ShardClient interface {
 	// pointers; cfds is the text to detect when it differs from the
 	// installed set ("" = installed).
 	ShardDetect(dataset, cfds string, set *cfd.Set) ([]cfd.ShardResult, error)
-	// ShardGroups fetches boundary-group members (local TIDs).
+	// ShardGroups fetches one query's boundary-group summaries (local
+	// TIDs) — ShardGroupsBatch of a single summary query.
 	ShardGroups(dataset string, partAttrs, valAttrs []int, keys []string) ([]cfd.BoundaryGroup, error)
+	// ShardGroupsBatch answers several boundary queries in one round
+	// trip: out[i][k] is the worker's side of queries[i].Keys[k].
+	ShardGroupsBatch(dataset string, queries []cfd.GroupQuery) ([][]cfd.BoundaryGroup, error)
 	// ShardDCs runs shard-local DC detection for every installed DC,
 	// keyed by DC name.
 	ShardDCs(dataset string) (map[string]dc.ShardResult, error)
@@ -129,8 +133,12 @@ type ClusterDataset struct {
 
 	// vio is the cached global violation list and stats the merge that
 	// produced it: replaced together, so one generation names both.
-	vio   cachedViolations
-	stats cfd.MergeStats
+	// version counts the mutations that drop vio (append, constraint
+	// install); a detect that scattered under an older version answers
+	// its caller but is not cached.
+	vio     cachedViolations
+	stats   cfd.MergeStats
+	version uint64
 }
 
 // Name returns the dataset name.
@@ -486,6 +494,7 @@ func (c *Coordinator) InstallConstraints(name, text string) (*cfd.Set, error) {
 	cd.mu.Lock()
 	cd.cfds, cd.cfdText = set, text
 	cd.vio.drop()
+	cd.version++
 	cd.mu.Unlock()
 	c.mirrorRegistry()
 	return set, nil
@@ -572,16 +581,17 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
 	}
 	cd.mu.RLock()
-	set, offsets := cd.cfds, cd.offsets()
+	set, offsets, ver := cd.cfds, cd.offsets(), cd.version
 	cd.mu.RUnlock()
 	res, err := c.detectSet(name, "", set, offsets, true)
 	if err != nil {
 		return nil, err
 	}
 	cd.mu.Lock()
-	// Racing installs swap cd.cfds; only cache what matches — and never
-	// cache a degraded (partial) answer.
-	if cd.cfds == set && !res.Degraded {
+	// An append or install that finished since the scatter began made
+	// this list the previous state's; only cache what is current — and
+	// never cache a degraded (partial) answer.
+	if cd.version == ver && !res.Degraded {
 		// Cache a copy: the returned slice is caller-owned.
 		if cd.vio.store(slices.Clone(res.Violations)) {
 			cd.stats = res.Stats
@@ -594,7 +604,8 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 
 // detectSet is the two-phase scatter-gather core: fan out shard
 // detection of set (cfds = the set's text when it differs from the
-// installed one, "" otherwise), then merge with boundary-group fetches.
+// installed one, "" otherwise), then merge after one round of
+// boundary-group summaries.
 // A racing append can shift shard state between the two phases; the
 // merge tolerates short or missing groups, and exactness is guaranteed
 // for quiescent data (the property the tests pin).
@@ -612,9 +623,7 @@ func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, 
 		results[w] = sr
 		return err
 	})
-	// failed[w] records the worker's first error across both phases;
-	// phase-2 fetches run sequentially from MergeShards, so plain map
-	// writes are safe.
+	// failed[w] records the worker's first error across both phases.
 	failed := make(map[int]error)
 	for w, err := range errs {
 		if err != nil {
@@ -635,46 +644,45 @@ func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, 
 			results[w] = make([]cfd.ShardResult, len(set.All()))
 		}
 	}
-	fetch := func(cfdIdx int, keys []string) ([][]cfd.BoundaryGroup, error) {
-		cc := set.All()[cfdIdx]
-		part, vals := cc.LHS(), cc.LHSRHSAttrs()
-		members := make([][]cfd.BoundaryGroup, len(c.clients))
+	// One boundary round: each worker gets every CFD's boundary keys in
+	// a single call and answers with per-group summaries.
+	fetch := func(queries []cfd.GroupQuery) ([][][]cfd.BoundaryGroup, error) {
+		sides := make([][][]cfd.BoundaryGroup, len(c.clients))
 		_, ferrs := c.fanOutAll(func(w int, cl ShardClient) error {
 			if _, dead := failed[w]; dead {
 				// Already excluded in phase 1 — don't poke a dead worker.
-				members[w] = make([]cfd.BoundaryGroup, len(keys))
 				return nil
 			}
-			groups, err := cl.ShardGroups(name, part, vals, keys)
+			reply, err := cl.ShardGroupsBatch(name, queries)
 			if err != nil {
 				return err
 			}
-			for i := range groups {
-				for m := range groups[i].TIDs {
-					groups[i].TIDs[m] += offsets[w]
+			for _, groups := range reply {
+				for _, g := range groups {
+					for m := range g.TIDs {
+						g.TIDs[m] += offsets[w]
+					}
 				}
 			}
-			members[w] = groups
+			sides[w] = reply
 			return nil
 		})
 		for w, err := range ferrs {
 			if err == nil {
 				continue
 			}
-			if !allowPartial {
-				return nil, err
-			}
+			// A worker lost between the two rounds contributes no
+			// summaries; its phase-1 groups stay in the merge.
 			if _, dup := failed[w]; !dup {
 				failed[w] = err
 			}
-			if len(failed) == len(c.clients) {
+			if !allowPartial || len(failed) == len(c.clients) {
 				return nil, err
 			}
-			members[w] = make([]cfd.BoundaryGroup, len(keys))
 		}
-		return members, nil
+		return sides, nil
 	}
-	vios, stats, err := cfd.MergeShards(set, offsets, results, fetch)
+	vios, stats, err := cfd.MergeShardsBatch(set, offsets, results, fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -750,6 +758,7 @@ func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
 	cd.mu.Lock()
 	cd.counts[last] += n
 	cd.vio.drop()
+	cd.version++
 	cd.mu.Unlock()
 	if jerr != nil {
 		return 0, notDurable(fmt.Sprintf("append to %q", name), jerr)
@@ -862,15 +871,18 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 			perShard[w] = shardRes[w][d.Name()]
 		}
 		fetch := func(keys []string) ([][]dc.BoundaryTuples, error) {
-			eq, ref := d.EqualityAttrs(), d.ReferencedAttrs()
+			query := cfd.GroupQuery{PartAttrs: d.EqualityAttrs(), ValAttrs: d.ReferencedAttrs(), Rows: true}
+			for _, k := range keys {
+				query.Keys = append(query.Keys, []byte(k))
+			}
 			members := make([][]dc.BoundaryTuples, len(c.clients))
 			_, ferr := c.fanOut(func(w int, cl ShardClient) error {
-				groups, err := cl.ShardGroups(name, eq, ref, keys)
+				sides, err := cl.ShardGroupsBatch(name, []cfd.GroupQuery{query})
 				if err != nil {
 					return err
 				}
-				bts := make([]dc.BoundaryTuples, len(groups))
-				for i, g := range groups {
+				bts := make([]dc.BoundaryTuples, len(sides[0]))
+				for i, g := range sides[0] {
 					tids := make([]int, len(g.TIDs))
 					for m, tid := range g.TIDs {
 						tids[m] = tid + offsets[w]

@@ -47,25 +47,33 @@ func (s *Session) ShardDetect(set *cfd.Set) ([]cfd.ShardResult, error) {
 	return cfd.DetectShards(s.data, set, s.indexes, s.workers)
 }
 
-// ShardGroups answers the coordinator's boundary-group fetch: for each
-// composite key over partAttrs, the matching local group's TIDs
-// (shard-local — the coordinator translates) and member tuples
-// populated on valAttrs.
-func (s *Session) ShardGroups(partAttrs, valAttrs []int, keys []string) ([]cfd.BoundaryGroup, error) {
+// ShardGroups answers the coordinator's boundary fetch — every CFD's
+// (or one DC's) queries of a detection in one call, under one read
+// lock: per query and key, the matching local group's TIDs (shard-local
+// — the coordinator translates) and its summary over the query's value
+// attributes (cfd.CollectGroups).
+func (s *Session) ShardGroups(queries []cfd.GroupQuery) ([][]cfd.BoundaryGroup, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	arity := s.data.Schema().Arity()
-	for _, attrs := range [][]int{partAttrs, valAttrs} {
-		for _, a := range attrs {
-			if a < 0 || a >= arity {
-				return nil, fmt.Errorf("engine: attribute %d out of range for schema %s", a, s.data.Schema().Name())
+	out := make([][]cfd.BoundaryGroup, len(queries))
+	for i, q := range queries {
+		for _, attrs := range [][]int{q.PartAttrs, q.ValAttrs} {
+			for _, a := range attrs {
+				if a < 0 || a >= arity {
+					return nil, fmt.Errorf("engine: attribute %d out of range for schema %s", a, s.data.Schema().Name())
+				}
 			}
 		}
+		if len(q.PartAttrs) == 0 {
+			return nil, fmt.Errorf("engine: shard group fetch needs partition attributes")
+		}
+		var err error
+		if out[i], err = cfd.CollectGroups(s.data, s.indexes, q); err != nil {
+			return nil, err
+		}
 	}
-	if len(partAttrs) == 0 {
-		return nil, fmt.Errorf("engine: shard group fetch needs partition attributes")
-	}
-	return cfd.CollectGroups(s.data, s.indexes, partAttrs, valAttrs, keys), nil
+	return out, nil
 }
 
 // ShardDCResult is one installed DC's shard-local contribution.

@@ -293,7 +293,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if err != nil || n < 0 {
 			return Null(), 0, fmt.Errorf("relation: bad string length %q", b[1:i])
 		}
-		if len(b) < i+1+n {
+		if n > len(b)-i-1 { // not i+1+n > len(b): a huge n would wrap
 			return Null(), 0, fmt.Errorf("relation: string encoding truncated: need %d payload bytes, have %d", n, len(b)-i-1)
 		}
 		return String(string(b[i+1 : i+1+n])), i + 1 + n, nil

@@ -56,12 +56,13 @@ func TestDecodeValueRoundTrip(t *testing.T) {
 func TestDecodeValueErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{byte(KindString)},                     // missing delimiter
-		{byte(KindString), '5', ':', 'a'},      // truncated payload
-		{byte(KindString), 'x', ':'},           // non-numeric length
-		{byte(KindInt), 1, 2, 3},               // truncated int
-		{byte(KindFloat), 1, 2, 3, 4, 5, 6, 7}, // truncated float
-		{42},                                   // unknown kind
+		{byte(KindString)},                // missing delimiter
+		{byte(KindString), '5', ':', 'a'}, // truncated payload
+		{byte(KindString), 'x', ':'},      // non-numeric length
+		append([]byte{byte(KindString)}, "9223372036854775807:a"...), // a length that wraps when added to its offset
+		{byte(KindInt), 1, 2, 3},                                     // truncated int
+		{byte(KindFloat), 1, 2, 3, 4, 5, 6, 7},                       // truncated float
+		{42},                                                         // unknown kind
 	}
 	for i, b := range cases {
 		if _, _, err := DecodeValue(b); err == nil {

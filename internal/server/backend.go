@@ -159,14 +159,8 @@ func (d clusterDataset) detect() ([]cfd.Violation, map[string]any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	extra := map[string]any{"residual": residualInfo(res.Stats), "workers": res.Workers}
-	// A degraded merge is a sound partial answer over the surviving
-	// shards — flagged, never cached, never silently passed off as the
-	// global result.
-	if res.Degraded {
-		extra["degraded"] = true
-		extra["failed_workers"] = res.Failed
-	}
+	extra := mergeInfo(res)
+	extra["workers"] = res.Workers
 	return res.Violations, extra, nil
 }
 
@@ -175,7 +169,20 @@ func (d clusterDataset) violations() ([]cfd.Violation, uint64, map[string]any, e
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return res.Violations, res.Gen, map[string]any{"residual": residualInfo(res.Stats)}, nil
+	return res.Violations, res.Gen, mergeInfo(res), nil
+}
+
+// mergeInfo is what a cluster answer says about the merge behind it. A
+// degraded merge — also the re-detect behind a read that missed the
+// cache — is a sound partial answer over the surviving shards: flagged,
+// never cached, never silently passed off as the global result.
+func mergeInfo(res *engine.DetectResult) map[string]any {
+	extra := map[string]any{"residual": residualInfo(res.Stats)}
+	if res.Degraded {
+		extra["degraded"] = true
+		extra["failed_workers"] = res.Failed
+	}
+	return extra
 }
 
 // appendRows forwards the raw fields: the tail worker parses and

@@ -301,62 +301,83 @@ func (c *HTTPShardClient) ShardDetect(dataset, cfds string, set *cfd.Set) ([]cfd
 	return out, nil
 }
 
-// ShardGroups fetches boundary-group members: local TIDs plus tuples
-// reconstructed from their exact encoded values over valAttrs.
+// ShardGroups is ShardGroupsBatch of one summary query.
 func (c *HTTPShardClient) ShardGroups(dataset string, partAttrs, valAttrs []int, keys []string) ([]cfd.BoundaryGroup, error) {
-	req := shardGroupsRequest{
-		Dataset:   dataset,
-		PartAttrs: partAttrs,
-		ValAttrs:  valAttrs,
-		Keys:      make([]string, len(keys)),
+	q := cfd.GroupQuery{PartAttrs: partAttrs, ValAttrs: valAttrs}
+	for _, k := range keys {
+		q.Keys = append(q.Keys, []byte(k))
 	}
-	for i, k := range keys {
-		req.Keys[i] = base64.StdEncoding.EncodeToString([]byte(k))
-	}
-	var resp struct {
-		Groups []shardMembersJSON `json:"groups"`
-	}
-	if err := c.callRetry(http.MethodPost, "/v1/shard/groups", req, &resp); err != nil {
+	sides, err := c.ShardGroupsBatch(dataset, []cfd.GroupQuery{q})
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Groups) != len(keys) {
-		return nil, c.fail(fmt.Errorf("shard groups returned %d entries for %d keys", len(resp.Groups), len(keys)))
+	return sides[0], nil
+}
+
+// ShardGroupsBatch fetches the worker's side of every query's groups
+// in one round trip.
+func (c *HTTPShardClient) ShardGroupsBatch(dataset string, queries []cfd.GroupQuery) ([][]cfd.BoundaryGroup, error) {
+	var resp struct {
+		Queries [][]shardSideJSON `json:"queries"`
 	}
-	// Replay only reads the shipped attributes, so the reconstructed
-	// tuples need just enough arity to index the largest one.
-	arity := 0
-	for _, a := range valAttrs {
-		if a >= arity {
-			arity = a + 1
-		}
+	if err := c.callRetry(http.MethodPost, "/v1/shard/groups",
+		shardGroupsRequest{Dataset: dataset, Queries: queries}, &resp); err != nil {
+		return nil, err
 	}
-	out := make([]cfd.BoundaryGroup, len(resp.Groups))
-	for i, mj := range resp.Groups {
-		if len(mj.TIDs) != len(mj.Rows) {
-			return nil, c.fail(fmt.Errorf("shard group %d: %d TIDs but %d rows", i, len(mj.TIDs), len(mj.Rows)))
+	out, err := decodeShardSides(queries, resp.Queries)
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	return out, nil
+}
+
+// decodeShardSides checks a worker's boundary reply against the queries
+// it answers — a list per query, an entry per key, one row per TID for
+// a Rows query and one in all otherwise — and rebuilds the groups
+// (local TIDs). Tuples come back indexed by attribute position, long
+// enough for the query's largest attribute.
+func decodeShardSides(queries []cfd.GroupQuery, resp [][]shardSideJSON) ([][]cfd.BoundaryGroup, error) {
+	if len(resp) != len(queries) {
+		return nil, fmt.Errorf("shard groups answered %d queries, asked %d", len(resp), len(queries))
+	}
+	out := make([][]cfd.BoundaryGroup, len(queries))
+	for qi, q := range queries {
+		if len(resp[qi]) != len(q.Keys) {
+			return nil, fmt.Errorf("shard groups query %d: %d entries for %d keys", qi, len(resp[qi]), len(q.Keys))
 		}
-		bg := cfd.BoundaryGroup{TIDs: mj.TIDs, Rows: make([]relation.Tuple, len(mj.Rows))}
-		for m, enc := range mj.Rows {
-			raw, err := base64.StdEncoding.DecodeString(enc)
-			if err != nil {
-				return nil, c.fail(fmt.Errorf("shard group %d row %d: %w", i, m, err))
+		arity := 0
+		for _, a := range q.ValAttrs {
+			arity = max(arity, a+1)
+		}
+		out[qi] = make([]cfd.BoundaryGroup, len(q.Keys))
+		for i, sj := range resp[qi] {
+			if len(sj.TIDs) == 0 {
+				continue
 			}
-			row := make(relation.Tuple, arity)
-			pos := 0
-			for _, a := range valAttrs {
-				v, n, err := relation.DecodeValue(raw[pos:])
-				if err != nil {
-					return nil, c.fail(fmt.Errorf("shard group %d row %d attr %d: %w", i, m, a, err))
+			want := 1
+			if q.Rows {
+				want = len(sj.TIDs)
+			}
+			if len(sj.Rows) != want {
+				return nil, fmt.Errorf("shard groups query %d group %d: %d rows for %d TIDs, want %d", qi, i, len(sj.Rows), len(sj.TIDs), want)
+			}
+			bg := cfd.BoundaryGroup{TIDs: sj.TIDs, Rows: make([]relation.Tuple, len(sj.Rows)), Differs: sj.Differs}
+			for m, raw := range sj.Rows {
+				row := make(relation.Tuple, arity)
+				for _, a := range q.ValAttrs {
+					v, n, err := relation.DecodeValue(raw)
+					if err != nil {
+						return nil, fmt.Errorf("shard groups query %d group %d row %d attr %d: %w", qi, i, m, a, err)
+					}
+					row[a], raw = v, raw[n:]
 				}
-				row[a] = v
-				pos += n
+				if len(raw) != 0 {
+					return nil, fmt.Errorf("shard groups query %d group %d row %d: %d trailing bytes", qi, i, m, len(raw))
+				}
+				bg.Rows[m] = row
 			}
-			if pos != len(raw) {
-				return nil, c.fail(fmt.Errorf("shard group %d row %d: %d trailing bytes", i, m, len(raw)-pos))
-			}
-			bg.Rows[m] = row
+			out[qi][i] = bg
 		}
-		out[i] = bg
 	}
 	return out, nil
 }

@@ -25,7 +25,7 @@ import (
 //
 //	POST /v1/shard/register  ingest a TID-range slice (exact tuples)
 //	POST /v1/shard/detect    per-group shard-local CFD detection
-//	POST /v1/shard/groups    boundary-group members for the merge
+//	POST /v1/shard/groups    boundary-group summaries for the merge
 //	POST /v1/shard/dc        shard-local DC detection + group keys
 //
 // TIDs in every response are shard-local; the coordinator translates.
@@ -137,19 +137,27 @@ func (s *Server) handleShardDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 type shardGroupsRequest struct {
-	Dataset   string   `json:"dataset"`
-	PartAttrs []int    `json:"part_attrs"`
-	ValAttrs  []int    `json:"val_attrs"`
-	Keys      []string `json:"keys"` // base64 composite keys
+	Dataset string `json:"dataset"`
+	// Queries hold all the boundary keys of a detection, one query per
+	// CFD (or DC).
+	Queries []cfd.GroupQuery `json:"queries"`
 }
 
-type shardMembersJSON struct {
+// shardSideJSON is the worker's side of one requested group (a
+// cfd.BoundaryGroup): its TIDs and O(1) values, not its members' rows
+// unless the query asked for them.
+type shardSideJSON struct {
 	TIDs []int `json:"tids,omitempty"`
-	// Rows[i] is base64 of the concatenation of TIDs[i]'s Value.Encode
-	// bytes over ValAttrs, in ValAttrs order.
-	Rows []string `json:"rows,omitempty"`
+	// Rows[m] is a member's Value.Encode bytes over ValAttrs, in ValAttrs
+	// order (base64 in JSON): TIDs[m]'s for a Rows query, else TIDs[0]'s.
+	Rows [][]byte `json:"rows,omitempty"`
+	// Differs lists the attributes of ValAttrs on which some member is
+	// not Identical to the first.
+	Differs []int `json:"differs,omitempty"`
 }
 
+// handleShardGroups answers with "queries": one list per query, one
+// shardSideJSON per key.
 func (s *Server) handleShardGroups(w http.ResponseWriter, r *http.Request) {
 	var req shardGroupsRequest
 	if !decode(w, r, &req) {
@@ -159,34 +167,29 @@ func (s *Server) handleShardGroups(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	keys := make([]string, len(req.Keys))
-	for i, k := range req.Keys {
-		raw, err := base64.StdEncoding.DecodeString(k)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("key %d: %w", i, err))
-			return
-		}
-		keys[i] = string(raw)
-	}
-	groups, err := sess.ShardGroups(req.PartAttrs, req.ValAttrs, keys)
+	sides, err := sess.ShardGroups(req.Queries)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := make([]shardMembersJSON, len(groups))
-	var buf []byte
-	for i, g := range groups {
-		mj := shardMembersJSON{TIDs: g.TIDs, Rows: make([]string, len(g.Rows))}
-		for m, row := range g.Rows {
-			buf = buf[:0]
-			for _, a := range req.ValAttrs {
-				buf = row[a].Encode(buf)
+	out := make([][]shardSideJSON, len(sides))
+	for qi, groups := range sides {
+		attrs := req.Queries[qi].ValAttrs
+		out[qi] = make([]shardSideJSON, len(groups))
+		for i, g := range groups {
+			if len(g.TIDs) == 0 {
+				continue
 			}
-			mj.Rows[m] = base64.StdEncoding.EncodeToString(buf)
+			sj := shardSideJSON{TIDs: g.TIDs, Rows: make([][]byte, len(g.Rows)), Differs: g.Differs}
+			for m, row := range g.Rows {
+				for _, a := range attrs {
+					sj.Rows[m] = row[a].Encode(sj.Rows[m])
+				}
+			}
+			out[qi][i] = sj
 		}
-		out[i] = mj
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"groups": out})
+	writeJSON(w, http.StatusOK, map[string]any{"queries": out})
 }
 
 type shardDCRequest struct {
