@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # real measurements.
 BENCHTIME ?= 1x
 
-.PHONY: all check fmt vet build test race race-cache bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
+.PHONY: all check fmt vet build test race race-cache fuzz-smoke bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
 
 all: check
 
@@ -51,6 +51,16 @@ race:
 # until the fan-out was pinned.
 race-cache:
 	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/relation/ ./internal/discovery/ ./internal/engine/ ./internal/repair/ ./internal/dc/ ./internal/server/ ./internal/wal/
+
+# fuzz-smoke gives every Fuzz* target of the root module ten seconds of
+# mutation (a plain `go test` only replays the seeds). Targets are found
+# by name, so a new one is covered the day it is written.
+# -fuzzminimizetime: the shard-protocol seeds are several KB and the
+# default minimizer would spend the whole window on one input.
+fuzz-smoke:
+	grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' cmd internal | while IFS=: read -r file fn; do \
+		$(GO) test "./$$(dirname "$$file")" -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s -fuzzminimizetime 2s || exit 1; \
+	done
 
 # bench runs the perf-trajectory benchmarks CI archives on every run:
 # detection (E1 scale sweep, E13 parallel detector) into

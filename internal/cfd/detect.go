@@ -364,15 +364,15 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 // visited in ascending group-index order, so the output is
 // deterministic.
 //
-// IncDetect tolerates delta tails: the PLI may come from
+// IncDetect tolerates an overlay: the PLI may come from
 // IndexCache.GetDelta, with appended rows absorbed but not compacted
 // (relation.PLI.Advance), so an appended batch costs O(delta) partition
 // maintenance plus the touched groups — no rebuild, no compaction.
 // It equally tolerates patched partitions (relation.PLI.Patch, the
-// drained form of a Set's journal entry): a re-homed TID sits in a tail
-// or provisional group and its vacated slot is an end-of-span hole,
-// both of which Group and GroupOf present as ordinary membership.
-// Uncompacted provisional groups iterate after the base groups instead
+// drained form of a Set's journal entry): a re-homed TID is recorded as
+// added to its new group and removed from its old one, both of which
+// Group and GroupOf present as ordinary membership.
+// Uncompacted new groups iterate after the base groups instead
 // of in sorted-key position; full detection (DetectGroups over
 // IndexCache.Get) always sees canonical order.
 func IncDetect(r *relation.Relation, c *CFD, pli *relation.PLI, tids []int) []Violation {

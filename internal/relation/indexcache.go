@@ -69,10 +69,10 @@ type cacheEntry struct {
 // watermarks and length watermark, so a lookup after a mutation does
 // the minimum work: cell edits are drained from the per-column patch
 // journal into the PLIs mentioning the edited column (each patched TID
-// re-homed in O(group) — see PLI.catchUp; only journal overflow,
-// reorders and truncation still invalidate), appends are absorbed in
-// place (PLI.Advance — no rebuild at all), and relation swaps
-// invalidate everything. A large pending patch set falls back to a
+// re-homed in the entry's overlay — see PLI.catchUp; only journal
+// overflow, reorders and truncation still invalidate), appends are
+// absorbed into the overlay (PLI.Advance — no rebuild at all), and
+// relation swaps invalidate everything. A large pending patch set falls back to a
 // rebuild when that is cheaper, under the same byte budget as any
 // other store.
 //
@@ -80,12 +80,13 @@ type cacheEntry struct {
 // only — callers hand it the current relation on every Get and the
 // cache validates the stored snapshot against it — so an engine session
 // keeps one cache across Accept data swaps, and a repair run keeps one
-// across materialize passes. Catch-up mutations are serialized per
-// entry; advances never overlap lock-free readers because appends are
+// across materialize passes. Catch-up writes are serialized per entry;
+// they never overlap lock-free readers because appends and edits are
 // exclusive at the session level and readers re-fetch per shared-lock
-// window, and compacting an entry a GetDelta reader may still be
-// iterating is done copy-on-write with the slot republished (see
-// PLI.catchUp), so Get and GetDelta interleave safely on one entry.
+// window, and folding the overlay of an entry a GetDelta reader may
+// still be iterating goes into a new PLI with the slot republished
+// (see PLI.catchUp), so Get and GetDelta interleave safely on one
+// entry.
 type IndexCache struct {
 	mu      sync.RWMutex
 	entries map[string]*cacheEntry
@@ -134,15 +135,14 @@ func NewIndexCache() *IndexCache {
 }
 
 // SetSpill attaches a spill store, repointing the byte budget from
-// existence to residency: a clean entry evicted under budget pressure
-// is demoted to a segment file in the store (heap arrays dropped) and
-// the next Get/GetVia pages it back in as zero-copy mapped views
-// instead of rebuilding — mapped storage is pageable OS memory, so it
-// costs the budget (a heap-residency cap) almost nothing. Entries that
-// are NOT clean — carrying a delta tail, patch holes or a dirty flag —
-// never spill in that state; they stay pinned heap-resident until
-// compaction, falling back to their last clean snapshot (plus catchUp)
-// or to a plain eviction. Attach before concurrent use.
+// existence to residency: an entry evicted under budget pressure is
+// demoted to a segment file in the store (heap arrays dropped) and the
+// next Get/GetVia pages it back in as a zero-copy mapped base instead
+// of rebuilding — mapped storage is pageable OS memory, so it costs
+// the budget (a heap-residency cap) almost nothing. A segment holds a
+// base, so only an entry whose overlay is empty is written out; one
+// with an overlay falls back to the snapshot it was paged in from
+// (plus catchUp) or to a plain eviction. Attach before concurrent use.
 func (c *IndexCache) SetSpill(store *SpillStore) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,8 +216,8 @@ func attrsKey(attrs []int) string {
 // Get returns a canonical PLI of r over attrs: a cached entry that is
 // fresh (or stale only by appends, which Get absorbs and compacts) is
 // reused; otherwise the index is rebuilt and re-cached. A fresh entry
-// still carrying a delta tail (left by GetDelta) is compacted
-// copy-on-write and the slot republished. Concurrent readers may race
+// still carrying an overlay (left by GetDelta) is folded into a new
+// PLI and the slot republished. Concurrent readers may race
 // to rebuild the same stale entry; both get a correct index and one of
 // them wins the cache slot.
 func (c *IndexCache) Get(r *Relation, attrs []int) *PLI {
@@ -226,42 +226,18 @@ func (c *IndexCache) Get(r *Relation, attrs []int) *PLI {
 
 // GetDelta is Get for delta-tolerant consumers (incremental detection):
 // a stale-only-by-appends entry is advanced but NOT compacted, so each
-// absorbed batch costs O(delta) and the appended rows sit in per-group
-// tails — group iteration sees provisional new groups after the base
+// absorbed batch costs O(delta) and the appended rows sit in the
+// entry's overlay — group iteration sees new groups after the base
 // groups, in arrival rather than sorted-key order. Use Get wherever
-// canonical group order matters; a later Get compacts the tail.
+// canonical group order matters; a later Get folds the overlay.
 func (c *IndexCache) GetDelta(r *Relation, attrs []int) *PLI {
 	return c.lookup(r, attrs, false)
 }
 
 func (c *IndexCache) lookup(r *Relation, attrs []int, compact bool) *PLI {
 	key := attrsKey(attrs)
-	c.mu.RLock()
-	e := c.entries[key]
-	hasSpilled := len(c.spilled) > 0
-	c.mu.RUnlock()
-	if e == nil && hasSpilled {
-		e = c.pageIn(r, key)
-	}
-	if e != nil {
-		if pli, advanced, patched := e.pli.catchUp(r, compact); pli != nil {
-			e.lastUse.Store(c.tick.Add(1))
-			if patched {
-				c.patches.Add(1)
-			}
-			if advanced {
-				c.advances.Add(1)
-			}
-			if advanced || patched {
-				c.enforceBudget(key)
-			} else {
-				c.hits.Add(1)
-			}
-			if pli != e.pli {
-				c.replaceEntry(key, e.pli, pli)
-			}
-			return pli
-		}
+	if p := c.cached(r, key, compact, true); p != nil {
+		return p
 	}
 	p := c.build(r, attrs)
 	c.misses.Add(1)
@@ -269,11 +245,56 @@ func (c *IndexCache) lookup(r *Relation, attrs []int, compact bool) *PLI {
 	return p
 }
 
-// replaceEntry publishes the copy-on-write compaction of a tailed entry
-// (see PLI.catchUp): subsequent lookups get the compacted index while
-// readers still iterating the old tailed one keep their consistent
-// snapshot. No-op if the slot no longer holds the PLI the copy was made
-// from (a concurrent rebuild or eviction won).
+// cached answers a lookup from the entry under key — resident, or
+// demoted and paged back in — caught up to r (PLI.catchUp): the one
+// revalidation sequence behind Get, GetDelta and both of GetVia's
+// probes. It returns nil when there is no such entry or it cannot reach
+// r, and the caller builds. Drained patches and absorbed rows are
+// counted as such; direct says the entry itself is the answer, as
+// opposed to the parent GetVia refines from: only then is an untouched
+// entry a hit, and one that grew is re-measured against the byte
+// budget. A fresh entry whose overlay was folded comes back as a new
+// PLI (see catchUp) and is republished in the slot.
+func (c *IndexCache) cached(r *Relation, key string, compact, direct bool) *PLI {
+	c.mu.RLock()
+	e := c.entries[key]
+	hasSpilled := len(c.spilled) > 0
+	c.mu.RUnlock()
+	if e == nil && hasSpilled {
+		e = c.pageIn(r, key)
+	}
+	if e == nil {
+		return nil
+	}
+	pli, advanced, patched := e.pli.catchUp(r, compact)
+	if pli == nil {
+		return nil
+	}
+	e.lastUse.Store(c.tick.Add(1))
+	if patched {
+		c.patches.Add(1)
+	}
+	if advanced {
+		c.advances.Add(1)
+	}
+	if direct {
+		if advanced || patched {
+			c.enforceBudget(key)
+		} else {
+			c.hits.Add(1)
+		}
+	}
+	if pli != e.pli {
+		c.replaceEntry(key, e.pli, pli)
+	}
+	return pli
+}
+
+// replaceEntry publishes the PLI a fresh entry's overlay was folded
+// into (see PLI.catchUp): subsequent lookups get the compacted index
+// while readers still iterating the old one keep their consistent
+// snapshot. No-op if the slot no longer holds the PLI the merge was
+// made from (a concurrent rebuild or eviction won).
 func (c *IndexCache) replaceEntry(key string, old, compacted *PLI) {
 	tick := c.tick.Add(1)
 	c.mu.Lock()
@@ -282,7 +303,7 @@ func (c *IndexCache) replaceEntry(key string, old, compacted *PLI) {
 	if prior == nil || prior.pli != old {
 		return
 	}
-	// The compacted copy holds the same logical content at the same
+	// The compacted PLI holds the same logical content at the same
 	// watermarks, so the prior entry's spill snapshot (if any) remains
 	// its snapshot — carried over, revalidated at the next demote.
 	e := &cacheEntry{pli: compacted, bytes: compacted.MemSize(), onDisk: prior.onDisk}
@@ -323,58 +344,15 @@ func (c *IndexCache) enforceBudget(keepKey string) {
 // set.
 func (c *IndexCache) GetVia(r *Relation, attrs []int) *PLI {
 	key := attrsKey(attrs)
-	var parentKey string
-	c.mu.RLock()
-	e := c.entries[key]
-	var parent *cacheEntry
-	if len(attrs) > 1 {
-		parentKey = attrsKey(attrs[:len(attrs)-1])
-		parent = c.entries[parentKey]
-	}
-	hasSpilled := len(c.spilled) > 0
-	c.mu.RUnlock()
-	if e == nil && hasSpilled {
-		e = c.pageIn(r, key)
-	}
-	if e != nil {
-		if pli, advanced, patched := e.pli.catchUp(r, true); pli != nil {
-			e.lastUse.Store(c.tick.Add(1))
-			if patched {
-				c.patches.Add(1)
-			}
-			if advanced {
-				c.advances.Add(1)
-			}
-			if advanced || patched {
-				c.enforceBudget(key)
-			} else {
-				c.hits.Add(1)
-			}
-			if pli != e.pli {
-				c.replaceEntry(key, e.pli, pli)
-			}
-			return pli
-		}
+	if p := c.cached(r, key, true, true); p != nil {
+		return p
 	}
 	var p *PLI
-	if parent == nil && parentKey != "" && hasSpilled {
+	if len(attrs) > 1 {
 		// A demoted parent is still one refinement away from the answer:
-		// page it in rather than fall back to a full build.
-		parent = c.pageIn(r, parentKey)
-	}
-	if parent != nil {
-		if ppli, advanced, patched := parent.pli.catchUp(r, true); ppli != nil {
-			if patched {
-				c.patches.Add(1)
-			}
-			if advanced {
-				c.advances.Add(1)
-			}
-			parent.lastUse.Store(c.tick.Add(1))
-			if ppli != parent.pli {
-				c.replaceEntry(parentKey, parent.pli, ppli)
-			}
-			p = c.refine(r, ppli, attrs[len(attrs)-1])
+		// cached pages it in rather than fall back to a full build.
+		if parent := c.cached(r, attrsKey(attrs[:len(attrs)-1]), true, false); parent != nil {
+			p = c.refine(r, parent, attrs[len(attrs)-1])
 			c.refines.Add(1)
 		}
 	}
@@ -531,12 +509,12 @@ func (c *IndexCache) enforceBudgetLocked(keepKey string) {
 	}
 }
 
-// demoteLocked tries to turn an eviction into a demotion: a clean
-// victim is snapshotted to a segment file (or keeps its still-current
-// one) and registered for page-in; an unclean victim (delta tail, patch
-// holes, dirty) falls back to its last clean snapshot when one exists —
-// page-in plus catchUp re-derives the current state from it — and
-// otherwise reports false for a plain eviction. Called with c.mu held;
+// demoteLocked tries to turn an eviction into a demotion: a victim
+// with an empty overlay is snapshotted to a segment file (or keeps its
+// still-current one) and registered for page-in; one with an overlay
+// falls back to the snapshot it came from when there is one — page-in
+// plus catchUp re-derives the current state from it — and otherwise
+// reports false for a plain eviction. Called with c.mu held;
 // takes p.mu inside (the established c.mu → p.mu order).
 func (c *IndexCache) demoteLocked(key string, e *cacheEntry) bool {
 	if c.spill == nil {

@@ -4,8 +4,8 @@ package relation
 
 // Mapping is a no-op stand-in on platforms without the zero-copy mmap
 // path (see mmap_linux.go): segments are decoded onto the heap with
-// plain reads, so no array is ever a view into mapped memory and the
-// holds* probes are constant false. Spill/page-in still works — a
+// plain reads, so no base is ever a view into mapped memory (pliBase.seg
+// stays nil). Spill/page-in still works — a
 // demoted index costs a file read instead of a rebuild — it just
 // re-enters the byte budget at full heap size.
 type Mapping struct{}
@@ -13,10 +13,7 @@ type Mapping struct{}
 // mmapSupported reports whether this build reads segments zero-copy.
 const mmapSupported = false
 
-func (m *Mapping) holdsInt(s []int) bool     { return false }
-func (m *Mapping) holdsInt32(s []int32) bool { return false }
-
 // openPLISegment decodes a PLI segment onto the heap.
-func openPLISegment(path string) (*pliSegData, error) {
+func openPLISegment(path string) (*pliBase, error) {
 	return readPLISegmentHeap(path)
 }

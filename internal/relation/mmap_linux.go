@@ -15,14 +15,14 @@ import (
 // no copy, no decode — which is what makes paging a demoted index back
 // in O(1): the kernel faults pages lazily and may reclaim them under
 // memory pressure, so a mapped index costs page cache, not Go heap.
-// Writing through the views would fault (PROT_READ) — any mutation path
-// (patch drains, appends into spans) must materialize heap copies first
-// (PLI.materializeLocked).
+// Writing through the views would fault (PROT_READ); nothing does — a
+// base is immutable, mapped or not, and every change to the partition
+// goes to the PLI's overlay.
 //
 // Lifetime: the mapping is unmapped by a finalizer once nothing
 // references it. Views into the mapping do NOT keep it alive on their
 // own (mapped pages are not Go heap, so the GC does not trace them);
-// the adopting PLI keeps the *Mapping in a field, and readers keep the
+// the adopting base keeps the *Mapping in a field, and readers keep the
 // PLI alive for as long as they hold slices from it —
 // the documented aliasing rule for Group/Lookup results already
 // requires exactly that. Unlinking a mapped file is safe on Linux: the
@@ -64,29 +64,6 @@ func (m *Mapping) unmap() {
 	}
 }
 
-// holdsInt reports whether s points into the mapping (i.e. is a
-// zero-copy view rather than a heap array). Used by the residency
-// accounting: mapped arrays are pageable OS memory, not Go heap, so
-// the cache byte budget skips them.
-func (m *Mapping) holdsInt(s []int) bool {
-	if m == nil || len(s) == 0 || len(m.data) == 0 {
-		return false
-	}
-	p := uintptr(unsafe.Pointer(&s[0]))
-	base := uintptr(unsafe.Pointer(&m.data[0]))
-	return p >= base && p < base+uintptr(len(m.data))
-}
-
-// holdsInt32 is holdsInt for int32 views.
-func (m *Mapping) holdsInt32(s []int32) bool {
-	if m == nil || len(s) == 0 || len(m.data) == 0 {
-		return false
-	}
-	p := uintptr(unsafe.Pointer(&s[0]))
-	base := uintptr(unsafe.Pointer(&m.data[0]))
-	return p >= base && p < base+uintptr(len(m.data))
-}
-
 // castInts reinterprets the 8-aligned little-endian int64 section at
 // [off, off+8*count) as []int in place. Safe on this build's platforms:
 // 64-bit little-endian, and the segment layout keeps every int64
@@ -107,27 +84,25 @@ func castInt32s(b []byte, off, count int64) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[off])), count)
 }
 
-// openPLISegment opens a PLI segment with zero-copy mapped views of the
-// large sections (tids/offsets/tidGroup). shardEnds is decoded to heap
-// — advanceShardEnds mutates it in place on the next append. Falls back
-// to the heap decode if the file cannot be mapped.
-func openPLISegment(path string) (*pliSegData, error) {
+// openPLISegment opens a PLI segment as a base whose arrays are
+// zero-copy views into a read-only mapping. Falls back to the heap
+// decode if the file cannot be mapped.
+func openPLISegment(path string) (*pliBase, error) {
 	m, err := mapFile(path)
 	if err != nil {
 		return readPLISegmentHeap(path)
 	}
 	h, err := parsePLISegHeader(m.data)
 	if err != nil {
+		m.unmap()
 		return nil, err
 	}
-	seOff, tOff, oOff, gOff := h.sectionOffsets()
-	return &pliSegData{
-		n:          int(h.n),
-		tids:       castInts(m.data, tOff, h.lenTids),
-		offsets:    castInt32s(m.data, oOff, h.numOffsets),
-		tidGroup:   castInt32s(m.data, gOff, h.lenTidGrp),
-		shardWidth: int(h.shardWidth),
-		shardEnds:  decodeIntSection(m.data, seOff, h.numShards),
-		seg:        m,
+	tOff, oOff, gOff := h.sectionOffsets()
+	return &pliBase{
+		n:        int(h.n),
+		tids:     castInts(m.data, tOff, h.n),
+		offsets:  castInt32s(m.data, oOff, h.numOffsets),
+		tidGroup: castInt32s(m.data, gOff, h.n),
+		seg:      m,
 	}, nil
 }

@@ -218,70 +218,6 @@ func TestIntersectShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardWatermarksAdvanceTailOnly pins the per-shard append
-// versioning contract: a sharded build lays out fixed-width TID shards
-// whose watermarks tile [0, n); Advance moves ONLY the tail entries
-// (filling the last shard, then opening new ones) while every interior
-// watermark stays frozen; and Compact never rewrites the layout.
-func TestShardWatermarksAdvanceTailOnly(t *testing.T) {
-	const n = 4 * shardMinRows
-	r := randomMixedRelation(t, 17, n)
-	p := BuildPLISharded(r, []int{0, 1}, 4)
-	ends := p.ShardEnds()
-	if len(ends) != 4 || ends[len(ends)-1] != n {
-		t.Fatalf("build layout = %v, want 4 shards ending at %d", ends, n)
-	}
-	for i := 1; i < len(ends); i++ {
-		if ends[i] < ends[i-1] {
-			t.Fatalf("watermarks not monotone: %v", ends)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(19))
-	for round := 0; round < 4; round++ {
-		before := p.ShardEnds()
-		appendRandomRows(t, r, rng, shardMinRows/2+rng.Intn(shardMinRows))
-		if !p.Advance(r) {
-			t.Fatalf("round %d: Advance refused", round)
-		}
-		after := p.ShardEnds()
-		if after[len(after)-1] != r.Len() {
-			t.Fatalf("round %d: tail watermark %d, relation length %d", round, after[len(after)-1], r.Len())
-		}
-		// Every shard that was full before the append is untouched; only
-		// the tail (and shards opened after it) may move.
-		width := p.shardWidth
-		for i := 0; i < len(before)-1; i++ {
-			if before[i] == (i+1)*width && after[i] != before[i] {
-				t.Fatalf("round %d: append rewrote interior shard %d: %v -> %v", round, i, before, after)
-			}
-		}
-		for i := 1; i < len(after); i++ {
-			if after[i] < after[i-1] || after[i]-after[i-1] > width {
-				t.Fatalf("round %d: layout %v violates width %d", round, after, width)
-			}
-		}
-		p.Compact()
-		if fmt.Sprint(p.ShardEnds()) != fmt.Sprint(after) {
-			t.Fatalf("round %d: Compact rewrote the shard layout %v -> %v", round, after, p.ShardEnds())
-		}
-		sameFlat(t, fmt.Sprintf("round %d compacted", round), p, BuildPLI(r, []int{0, 1}))
-	}
-
-	// Serial builds have a single shard whose watermark tracks growth.
-	sp := BuildPLI(r, []int{2})
-	if got := sp.NumShards(); got != 1 {
-		t.Fatalf("serial build has %d shards", got)
-	}
-	appendRandomRows(t, r, rng, 10)
-	if !sp.Advance(r) {
-		t.Fatal("serial Advance refused")
-	}
-	if ends := sp.ShardEnds(); ends[len(ends)-1] != r.Len() {
-		t.Fatalf("serial tail watermark %v, relation length %d", ends, r.Len())
-	}
-}
-
 // TestShardedCacheConcurrentBuildAppend is the race-cache companion for
 // sharded builds: a writer appends batches under an exclusive lock (the
 // engine session discipline) while readers drive Get / GetVia /

@@ -72,32 +72,25 @@ func (p *PLI) IntersectSharded(y, shards int) *PLI {
 	r := p.rel
 	out := &PLI{
 		rel:       r,
-		attrs:     append(append([]int(nil), p.attrs...), y),
-		colVers:   make([]uint64, len(p.attrs)+1),
-		patchVers: make([]uint64, len(p.attrs)+1),
-		n:         p.n,
+		attrs:     append(slices.Clone(p.attrs), y),
+		colVers:   append(slices.Clone(p.colVers), r.ColumnVersion(y)),
+		patchVers: append(slices.Clone(p.patchVers), r.PatchVersion(y)),
 	}
-	copy(out.colVers, p.colVers)
-	out.colVers[len(p.attrs)] = r.ColumnVersion(y)
-	copy(out.patchVers, p.patchVers)
-	out.patchVers[len(p.attrs)] = r.PatchVersion(y)
-	out.tidGroup = make([]int32, p.n)
-	out.initShardEnds(effectiveShards(p.n, shards))
 	if p.n == 0 {
-		out.offsets = []int32{0}
+		out.pliBase = newPLIBase(nil, []int32{0}, 1)
 		return out
 	}
 	s := effectiveShards(p.n, shards)
 	// refinement only reads the parent's TID storage, so it is shared
 	// directly instead of copied (see Intersect).
 	next := make([]int, p.n)
+	var offsets []int32
 	if s > 1 {
-		out.offsets = parallelRefineBy(r, y, p.tids, next, p.offsets, s)
+		offsets = parallelRefineBy(r, y, p.tids, next, p.offsets, s)
 	} else {
-		out.offsets = refineBy(r, y, p.tids, next, p.offsets)
+		offsets = refineBy(r, y, p.tids, next, p.offsets)
 	}
-	out.tids = next
-	out.fillTIDGroupsParallel(s)
+	out.pliBase = newPLIBase(next, offsets, s)
 	return out
 }
 
@@ -108,20 +101,17 @@ func (p *PLI) IntersectSharded(y, shards int) *PLI {
 func buildPLI(r *Relation, attrs []int, shards int) *PLI {
 	p := &PLI{
 		rel:       r,
-		attrs:     append([]int(nil), attrs...),
+		attrs:     slices.Clone(attrs),
 		colVers:   make([]uint64, len(attrs)),
 		patchVers: make([]uint64, len(attrs)),
-		n:         r.Len(),
 	}
 	for i, a := range attrs {
 		p.colVers[i] = r.ColumnVersion(a)
 		p.patchVers[i] = r.PatchVersion(a)
 	}
 	n := r.Len()
-	p.tidGroup = make([]int32, n)
-	p.initShardEnds(shards)
 	if n == 0 {
-		p.offsets = []int32{0}
+		p.pliBase = newPLIBase(nil, []int32{0}, 1)
 		return p
 	}
 
@@ -140,10 +130,7 @@ func buildPLI(r *Relation, attrs []int, shards int) *PLI {
 		}
 		cur, next = next, cur
 	}
-
-	p.tids = cur
-	p.offsets = bounds
-	p.fillTIDGroupsParallel(shards)
+	p.pliBase = newPLIBase(cur, bounds, shards)
 	return p
 }
 
@@ -359,103 +346,4 @@ func chunkGroups(bounds []int32, workers int) []int {
 		cuts = append(cuts, cut)
 	}
 	return append(cuts, ng)
-}
-
-// fillTIDGroupsParallel fills the tid->group mapping with the group
-// range chunked across workers (each group's members are written by
-// exactly one worker, so the writes are disjoint); workers <= 1 is the
-// serial fill.
-func (p *PLI) fillTIDGroupsParallel(workers int) {
-	ng := len(p.offsets) - 1
-	if workers <= 1 || ng < 2*workers {
-		p.fillTIDGroups()
-		return
-	}
-	cuts := chunkGroups(p.offsets, workers)
-	if len(cuts)-1 < 2 {
-		p.fillTIDGroups()
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 0; c+1 < len(cuts); c++ {
-		wg.Add(1)
-		go func(gLo, gHi int) {
-			defer wg.Done()
-			for g := gLo; g < gHi; g++ {
-				for _, tid := range p.tids[p.offsets[g]:p.offsets[g+1]] {
-					p.tidGroup[tid] = int32(g)
-				}
-			}
-		}(cuts[c], cuts[c+1])
-	}
-	wg.Wait()
-}
-
-// --- per-shard append watermarks ---
-
-// initShardEnds records the build's shard layout: `shards` fixed-width
-// TID ranges covering [0, n), each with its own append watermark in
-// shardEnds. Serial builds get a single shard spanning the relation.
-func (p *PLI) initShardEnds(shards int) {
-	n := p.n
-	if shards < 1 {
-		shards = 1
-	}
-	if n == 0 {
-		// Unbounded single shard: there is no width to derive, so
-		// appends just extend shard 0 (advanceShardEnds' width<=0 path).
-		p.shardWidth = 0
-		p.shardEnds = []int{0}
-		return
-	}
-	width := (n + shards - 1) / shards
-	p.shardWidth = width
-	p.shardEnds = make([]int, shards)
-	for s := 0; s < shards; s++ {
-		p.shardEnds[s] = min((s+1)*width, n)
-	}
-}
-
-// advanceShardEnds moves the append watermarks for growth to newN rows:
-// the tail shard fills to its fixed width, then fresh tail shards open —
-// every earlier shard's watermark is untouched, which is what lets
-// future per-shard consumers (spill, delta-aware invalidation) trust
-// non-tail shards across appends. Called with PLI.mu held (Advance).
-func (p *PLI) advanceShardEnds(newN int) {
-	if len(p.shardEnds) == 0 {
-		p.shardEnds = []int{newN}
-		return
-	}
-	last := len(p.shardEnds) - 1
-	if p.shardWidth <= 0 {
-		p.shardEnds[last] = newN
-		return
-	}
-	for {
-		capacity := (last + 1) * p.shardWidth
-		if newN <= capacity {
-			p.shardEnds[last] = newN
-			return
-		}
-		p.shardEnds[last] = capacity
-		p.shardEnds = append(p.shardEnds, 0)
-		last++
-	}
-}
-
-// NumShards returns the number of TID-range shards of the index's
-// layout (1 for serial builds).
-func (p *PLI) NumShards() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.shardEnds)
-}
-
-// ShardEnds returns a copy of the per-shard append watermarks: shard i
-// covers TIDs [ends[i-1], ends[i]) (from 0 for shard 0). Appends move
-// only the tail entries (PLI.Advance), never an interior one.
-func (p *PLI) ShardEnds() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.shardEnds...)
 }

@@ -10,7 +10,7 @@ import (
 
 // SpillStore hands out segment-file paths under one directory — the
 // per-dataset home of everything the tiered storage layer demotes
-// (clean PLIs under budget pressure). Files are written once and never
+// (PLI bases under budget pressure). Files are written once and never
 // rewritten; superseded files are unlinked, which on Linux is safe even
 // while a reader still holds a mapping of them. The store never deletes
 // its directory itself — the engine removes it wholesale when the
@@ -73,18 +73,16 @@ func (rec *spillRecord) validFor(r *Relation) bool {
 	return true
 }
 
-// spillSnapshot writes the index's flat storage to a fresh segment file
-// in store and returns the record describing it, reusing prior when it
-// already describes the current state (a clean entry demoted, paged in
-// and demoted again without mutating in between costs no I/O the second
-// time). ok is false — nothing written — when the index is not in the
-// clean compacted state segments hold: a delta tail, patch holes or a
-// dirty flag pin an entry heap-resident, exactly as the tiered-storage
-// contract documents.
+// spillSnapshot writes the index's base to a fresh segment file in
+// store and returns the record describing it, reusing prior when it
+// already describes the current state (an entry demoted, paged in and
+// demoted again without changing in between costs no I/O the second
+// time). ok is false — nothing written — unless the overlay is empty:
+// a segment holds a base, and only then is the base the partition.
 func (p *PLI) spillSnapshot(store *SpillStore, prior *spillRecord) (*spillRecord, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.n == 0 || p.tailLen > 0 || p.dirty || p.holeCnt > 0 {
+	if p.n == 0 || !p.ov.empty() {
 		return nil, false
 	}
 	if prior != nil && prior.rel == p.rel && prior.n == p.n && slices.Equal(prior.patchVers, p.patchVers) {
@@ -107,32 +105,26 @@ func (p *PLI) spillSnapshot(store *SpillStore, prior *spillRecord) (*spillRecord
 }
 
 // loadPLISegment rebuilds a PLI from a demoted record's segment file:
-// the large arrays come back as zero-copy views into a read-only
-// mapping where the platform supports it (heap decodes elsewhere), and
-// the PLI re-enters the cache with the record's watermarks — any
-// appends or journaled patches since the snapshot are absorbed by the
-// very next catchUp, the same way a resident entry would have absorbed
-// them.
+// the file comes back as a base — zero-copy views into a read-only
+// mapping where the platform supports it, a heap decode elsewhere —
+// and the PLI re-enters the cache with the record's watermarks and an
+// empty overlay. Any appends or journaled patches since the snapshot
+// are absorbed by the very next catchUp, the same way a resident entry
+// would have absorbed them, without touching the mapped arrays.
 func loadPLISegment(rec *spillRecord) (*PLI, error) {
-	d, err := openPLISegment(rec.path)
+	b, err := openPLISegment(rec.path)
 	if err != nil {
 		return nil, err
 	}
-	if d.n != rec.n || len(d.tidGroup) != rec.n {
-		return nil, fmt.Errorf("relation: segment %s covers %d rows, record says %d", rec.path, d.n, rec.n)
+	if b.n != rec.n {
+		return nil, fmt.Errorf("relation: segment %s covers %d rows, record says %d", rec.path, b.n, rec.n)
 	}
 	return &PLI{
-		rel:        rec.rel,
-		attrs:      slices.Clone(rec.attrs),
-		colVers:    slices.Clone(rec.colVers),
-		patchVers:  slices.Clone(rec.patchVers),
-		n:          rec.n,
-		tids:       d.tids,
-		offsets:    d.offsets,
-		tidGroup:   d.tidGroup,
-		shardWidth: d.shardWidth,
-		shardEnds:  d.shardEnds,
-		seg:        d.seg,
+		rel:       rec.rel,
+		attrs:     slices.Clone(rec.attrs),
+		colVers:   slices.Clone(rec.colVers),
+		patchVers: slices.Clone(rec.patchVers),
+		pliBase:   b,
 	}, nil
 }
 

@@ -39,11 +39,11 @@ func TestSegmentMappedMatchesHeapDecode(t *testing.T) {
 				t.Fatalf("expected a mapped segment on this platform")
 			}
 			ctx := fmt.Sprintf("seed %d attrs %v", seed, attrs)
-			if mapped.n != heap.n || mapped.shardWidth != heap.shardWidth {
+			if mapped.n != heap.n {
 				t.Fatalf("%s: header mismatch", ctx)
 			}
 			if len(mapped.tids) != len(heap.tids) || len(mapped.offsets) != len(heap.offsets) ||
-				len(mapped.tidGroup) != len(heap.tidGroup) || len(mapped.shardEnds) != len(heap.shardEnds) {
+				len(mapped.tidGroup) != len(heap.tidGroup) {
 				t.Fatalf("%s: section length mismatch", ctx)
 			}
 			for i := range heap.tids {
@@ -59,11 +59,6 @@ func TestSegmentMappedMatchesHeapDecode(t *testing.T) {
 			for i := range heap.tidGroup {
 				if mapped.tidGroup[i] != heap.tidGroup[i] {
 					t.Fatalf("%s: tidGroup[%d] mismatch", ctx, i)
-				}
-			}
-			for i := range heap.shardEnds {
-				if mapped.shardEnds[i] != heap.shardEnds[i] {
-					t.Fatalf("%s: shardEnds[%d] mismatch", ctx, i)
 				}
 			}
 		}
