@@ -44,7 +44,9 @@ race:
 # TestSpillDemotePageInConcurrent and
 # TestConcurrentSpillDemoteDirtyAppend, and in internal/server a cluster
 # detect overtaken by an append between its scatter and its cache store
-# in TestClusterDetectOvertakenByAppend) with a higher count, so
+# in TestClusterDetectOvertakenByAppend, and detects, DC detects and
+# appends sharing one coordinator's held shard replies and merge memos
+# in TestClusterConcurrentDetectDCAppend) with a higher count, so
 # cache-sharing races surface on every push. GOMAXPROCS is forced up so
 # the scheduler actually interleaves the readers even on small CI boxes
 # — the Get/GetDelta compaction race stayed hidden on a 1-core host

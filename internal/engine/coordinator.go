@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -62,7 +63,10 @@ type ShardClient interface {
 	// coordinator's compiled CFDs (same text, same order as installed on
 	// the worker) so returned violations reference the coordinator's CFD
 	// pointers; cfds is the text to detect when it differs from the
-	// installed set ("" = installed).
+	// installed set ("" = installed). A worker whose slice did not
+	// change may be answered with the very reply returned before, so a
+	// reply is read-only; the coordinator's merge memo keys on that
+	// identity.
 	ShardDetect(dataset, cfds string, set *cfd.Set) ([]cfd.ShardResult, error)
 	// ShardGroups fetches one query's boundary-group summaries (local
 	// TIDs) — ShardGroupsBatch of a single summary query.
@@ -71,7 +75,7 @@ type ShardClient interface {
 	// trip: out[i][k] is the worker's side of queries[i].Keys[k].
 	ShardGroupsBatch(dataset string, queries []cfd.GroupQuery) ([][]cfd.BoundaryGroup, error)
 	// ShardDCs runs shard-local DC detection for every installed DC,
-	// keyed by DC name.
+	// keyed by DC name; read-only, like ShardDetect's reply.
 	ShardDCs(dataset string) (map[string]dc.ShardResult, error)
 	// Append routes raw tuple fields to the worker's incremental repair
 	// path and returns the number appended.
@@ -93,14 +97,17 @@ type WorkerCall struct {
 // reachable but failing, e.g. mid-recovery), or any other transport
 // fault (connection refused/reset).
 type WorkerTotals struct {
-	Calls      uint64  `json:"calls"`
-	TotalMS    float64 `json:"total_ms"`
-	Errors     uint64  `json:"errors"`
-	Timeouts   uint64  `json:"timeouts"`
-	HTTP5xx    uint64  `json:"http_5xx"`
-	Transport  uint64  `json:"transport_errors"`
-	Retries    uint64  `json:"retries"`
-	LastErrMsg string  `json:"last_error,omitempty"`
+	Calls     uint64  `json:"calls"`
+	TotalMS   float64 `json:"total_ms"`
+	Errors    uint64  `json:"errors"`
+	Timeouts  uint64  `json:"timeouts"`
+	HTTP5xx   uint64  `json:"http_5xx"`
+	Transport uint64  `json:"transport_errors"`
+	Retries   uint64  `json:"retries"`
+	// NotModified counts the worker's phase-1 replies that came back
+	// 304: answered from the client's copy, with no detection run.
+	NotModified uint64 `json:"not_modified"`
+	LastErrMsg  string `json:"last_error,omitempty"`
 }
 
 // ClusterDataset is the coordinator's record of one range-partitioned
@@ -139,6 +146,57 @@ type ClusterDataset struct {
 	vio     cachedViolations
 	stats   cfd.MergeStats
 	version uint64
+
+	// merged is what vio was merged from: stored with it, and current
+	// only while version has not moved. A detect whose every worker hands
+	// back the very reply merged holds (a 304 from an unchanged shard)
+	// has nothing new to merge.
+	merged struct {
+		version uint64
+		set     *cfd.Set
+		replies [][]cfd.ShardResult
+	}
+	// dcMemo is the last DC merge and what it was computed from.
+	dcMemo *dcMerge
+}
+
+// dcMerge is one DetectDCs answer with its inputs: the DC set, the
+// limit, the offsets and every worker's phase-1 reply.
+type dcMerge struct {
+	set     *dc.Set
+	limit   int
+	offsets []int
+	replies []map[string]dc.ShardResult
+	reports []DCReport
+	stats   []dc.MergeStats
+}
+
+// sameReplies reports whether every worker's reply in a is the very
+// slice it is in b — the reply a client hands back again on a 304.
+func sameReplies(a, b [][]cfd.ShardResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for w := range a {
+		if len(a[w]) != len(b[w]) || len(a[w]) > 0 && &a[w][0] != &b[w][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameDCReplies is sameReplies for DC replies: the same map, not an
+// equal one.
+func sameDCReplies(a, b []map[string]dc.ShardResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for w := range a {
+		if reflect.ValueOf(a[w]).UnsafePointer() != reflect.ValueOf(b[w]).UnsafePointer() {
+			return false
+		}
+	}
+	return true
 }
 
 // Name returns the dataset name.
@@ -249,6 +307,12 @@ type RetryReporter interface {
 	Retries() uint64
 }
 
+// NotModifiedReporter is the optional ShardClient extension that
+// exposes how many of the worker's replies came back 304 for /v1/stats.
+type NotModifiedReporter interface {
+	NotModified() uint64
+}
+
 // WorkerStats returns each worker's cumulative fan-out call count,
 // latency and cause-labeled error counters — the coordinator side of
 // GET /v1/stats.
@@ -260,11 +324,14 @@ func (c *Coordinator) WorkerStats() map[string]WorkerTotals {
 	}
 	c.mu.RUnlock()
 	for _, cl := range c.clients {
+		t := out[cl.URL()]
 		if rr, ok := cl.(RetryReporter); ok {
-			t := out[cl.URL()]
 			t.Retries = rr.Retries()
-			out[cl.URL()] = t
 		}
+		if nm, ok := cl.(NotModifiedReporter); ok {
+			t.NotModified = nm.NotModified()
+		}
+		out[cl.URL()] = t
 	}
 	return out
 }
@@ -571,10 +638,14 @@ type DetectResult struct {
 // workers and merges the shard results into the single-process-exact
 // global violation list (cfd.MergeShards), caching it like
 // Session.Detect does — replacing the cached list only when the fresh
-// one differs. If a worker dies mid-detect the merge degrades
-// gracefully: the result covers the surviving shards and carries
-// Degraded plus the failed workers, instead of a blanket error — only
-// all workers failing is an error.
+// one differs. When no input moved — the same set, no mutation since
+// the cached list was merged, and every worker handing back the very
+// reply it was merged from (a 304: the shard did not change) — the
+// answer is a copy of the cached list, with no boundary round and no
+// merge. If a worker dies mid-detect the merge degrades gracefully: the
+// result covers the surviving shards and carries Degraded plus the
+// failed workers, instead of a blanket error — only all workers failing
+// is an error.
 func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 	cd, ok := c.Get(name)
 	if !ok {
@@ -583,7 +654,25 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 	cd.mu.RLock()
 	set, offsets, ver := cd.cfds, cd.offsets(), cd.version
 	cd.mu.RUnlock()
-	res, err := c.detectSet(name, "", set, offsets, true)
+	results, calls, failed, err := c.scatter(name, "", set, true)
+	if err != nil {
+		return nil, err
+	}
+	if len(failed) == 0 {
+		cd.mu.RLock()
+		m := &cd.merged
+		var res *DetectResult
+		// merged is stored only with vio and version moves whenever vio
+		// is dropped, so a current merged means a valid vio.
+		if cd.version == ver && m.version == ver && m.set == set && sameReplies(m.replies, results) {
+			res = &DetectResult{Violations: slices.Clone(cd.vio.list), Stats: cd.stats, Workers: calls, Gen: cd.vio.gen}
+		}
+		cd.mu.RUnlock()
+		if res != nil {
+			return res, nil
+		}
+	}
+	res, err := c.merge(name, set, offsets, results, calls, failed, true)
 	if err != nil {
 		return nil, err
 	}
@@ -597,18 +686,16 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 			cd.stats = res.Stats
 		}
 		res.Gen = cd.vio.gen
+		cd.merged.version, cd.merged.set, cd.merged.replies = ver, set, results
 	}
 	cd.mu.Unlock()
 	return res, nil
 }
 
-// detectSet is the two-phase scatter-gather core: fan out shard
-// detection of set (cfds = the set's text when it differs from the
-// installed one, "" otherwise), then merge after one round of
-// boundary-group summaries.
-// A racing append can shift shard state between the two phases; the
-// merge tolerates short or missing groups, and exactness is guaranteed
-// for quiescent data (the property the tests pin).
+// scatter is phase 1 of the two-phase scatter-gather core: fan out
+// shard detection of set (cfds = the set's text when it differs from
+// the installed one, "" otherwise). It returns every worker's reply and
+// call, and the workers that failed.
 //
 // allowPartial turns worker failures into a degraded partial result:
 // a failed worker's shard results are replaced by empty ones (one
@@ -616,7 +703,7 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 // merge tolerates, and the worker lands in Failed. Strict callers
 // (Discover's candidate verification — a partial verdict could verify
 // a globally-violated candidate) pass false and get the first error.
-func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, allowPartial bool) (*DetectResult, error) {
+func (c *Coordinator) scatter(name, cfds string, set *cfd.Set, allowPartial bool) ([][]cfd.ShardResult, []WorkerCall, map[int]error, error) {
 	results := make([][]cfd.ShardResult, len(c.clients))
 	calls, errs := c.fanOutAll(func(w int, cl ShardClient) error {
 		sr, err := cl.ShardDetect(name, cfds, set)
@@ -634,7 +721,7 @@ func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, 
 		if !allowPartial || len(failed) == len(c.clients) {
 			for _, err := range errs {
 				if err != nil {
-					return nil, err
+					return nil, nil, nil, err
 				}
 			}
 		}
@@ -644,6 +731,15 @@ func (c *Coordinator) detectSet(name, cfds string, set *cfd.Set, offsets []int, 
 			results[w] = make([]cfd.ShardResult, len(set.All()))
 		}
 	}
+	return results, calls, failed, nil
+}
+
+// merge is phase 2: the merge of scatter's replies after one round of
+// boundary-group summaries. A racing append can shift shard state
+// between the two phases; the merge tolerates short or missing groups,
+// and exactness is guaranteed for quiescent data (the property the
+// tests pin).
+func (c *Coordinator) merge(name string, set *cfd.Set, offsets []int, results [][]cfd.ShardResult, calls []WorkerCall, failed map[int]error, allowPartial bool) (*DetectResult, error) {
 	// One boundary round: each worker gets every CFD's boundary keys in
 	// a single call and answers with per-group summaries.
 	fetch := func(queries []cfd.GroupQuery) ([][][]cfd.BoundaryGroup, error) {
@@ -814,7 +910,11 @@ func (c *Coordinator) Discover(name string, minSupport, maxLHS int, install bool
 	cd.mu.RUnlock()
 	// Strict: verifying a candidate against a partial merge could
 	// install a globally-violated CFD.
-	res, err := c.detectSet(name, text, candSet, offsets, false)
+	results, calls, failed, err := c.scatter(name, text, candSet, false)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.merge(name, candSet, offsets, results, calls, failed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -842,14 +942,17 @@ func (c *Coordinator) Discover(name string, minSupport, maxLHS int, install bool
 
 // DetectDCs fans DC detection out to the workers and merges each DC's
 // shard results (dc.MergeShards), truncating each DC's (T,U)-sorted
-// list at limit like Session.DetectDCs.
+// list at limit like Session.DetectDCs. The last answer is kept with
+// its inputs (dcMerge) and given again — no boundary round, no pair
+// replay — while the DC set, limit and offsets are the same and every
+// worker hands back the very reply it was computed from.
 func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeStats, error) {
 	cd, ok := c.Get(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
 	}
 	cd.mu.RLock()
-	set, offsets := cd.dcs, cd.offsets()
+	set, offsets, ver := cd.dcs, cd.offsets(), cd.version
 	cd.mu.RUnlock()
 	all := set.All()
 	if len(all) == 0 {
@@ -862,6 +965,12 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 		return err
 	}); err != nil {
 		return nil, nil, err
+	}
+	cd.mu.RLock()
+	m := cd.dcMemo
+	cd.mu.RUnlock()
+	if m != nil && m.set == set && m.limit == limit && slices.Equal(m.offsets, offsets) && sameDCReplies(m.replies, shardRes) {
+		return cloneReports(m.reports), slices.Clone(m.stats), nil
 	}
 	reports := make([]DCReport, 0, len(all))
 	allStats := make([]dc.MergeStats, 0, len(all))
@@ -906,5 +1015,21 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 		})
 		allStats = append(allStats, stats)
 	}
+	cd.mu.Lock()
+	// Like vio: what an append overtook is answered but not kept.
+	if cd.version == ver {
+		cd.dcMemo = &dcMerge{set: set, limit: limit, offsets: offsets, replies: shardRes, reports: cloneReports(reports), stats: slices.Clone(allStats)}
+	}
+	cd.mu.Unlock()
 	return reports, allStats, nil
+}
+
+// cloneReports copies reports down to their violation lists, which the
+// caller owns.
+func cloneReports(reports []DCReport) []DCReport {
+	out := slices.Clone(reports)
+	for i := range out {
+		out[i].Violations = slices.Clone(out[i].Violations)
+	}
+	return out
 }

@@ -24,7 +24,8 @@ func (s *Session) DCs() *dc.Set {
 
 // SetDCs replaces the session's denial-constraint set (schema-checked).
 // DC violations are computed on demand rather than cached, so swapping
-// the set invalidates nothing else.
+// the set invalidates nothing else — but it is a new state, so the
+// version moves (a shard's DC reply is tagged with it).
 func (s *Session) SetDCs(set *dc.Set) error {
 	if set == nil {
 		return fmt.Errorf("engine: nil DC set")
@@ -44,6 +45,7 @@ func (s *Session) SetDCs(set *dc.Set) error {
 		}
 	}
 	s.dcs = set
+	s.bump()
 	return nil
 }
 

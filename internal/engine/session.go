@@ -75,11 +75,19 @@ type Session struct {
 	// it, or replay would apply it to an unknown dataset.
 	dropped bool
 
-	// version counts mutations of data/set; caches tagged with an older
-	// version are discarded instead of stored.
+	// version names the session's state — data, CFD set and DC set: it
+	// is drawn afresh from sessionVersion at creation and on every
+	// mutation (bump), so caches tagged with an older version are
+	// discarded instead of stored, and a shard reply tagged with it
+	// (Version) is never the tag of another state or of another session,
+	// a dataset dropped and registered again under its name included.
 	version uint64
 	vio     cachedViolations
 }
+
+// sessionVersion issues every Session.version in the process; 0 is
+// never issued.
+var sessionVersion atomic.Uint64
 
 // violationGen numbers every violation list the engine caches. It is
 // process-wide, so a generation also tells two datasets' lists apart,
@@ -134,6 +142,7 @@ func NewSession(name string, data *relation.Relation, set *cfd.Set, workers int)
 		workers:   workers,
 		indexes:   relation.NewIndexCache(),
 		confirmed: map[[2]int]bool{},
+		version:   sessionVersion.Add(1),
 	}
 	s.indexes.SetShards(workers)
 	return s, nil
@@ -232,11 +241,24 @@ func (s *Session) checkOpen() error {
 }
 
 // mutated must be called with the write lock held after any change to
-// data or constraints.
+// data or CFDs.
 func (s *Session) mutated() {
-	s.version++
+	s.bump()
 	s.vio.drop()
 	s.candidate = nil
+}
+
+// bump gives the session a new version; caller holds the write lock.
+func (s *Session) bump() { s.version = sessionVersion.Add(1) }
+
+// Version returns the session's current version. Work computed after
+// reading it reflects that state or a later one, so a reply tagged with
+// it can be answered "not modified" for exactly as long as Version
+// still returns the same value.
+func (s *Session) Version() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.version
 }
 
 // Detect runs violation detection on the current data using the

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,17 +54,46 @@ func DefaultRetryPolicy() RetryPolicy {
 // answer 502; timeouts and 5xx replies additionally carry
 // engine.ErrWorkerTimeout / engine.ErrWorkerUpstream so per-worker
 // stats and degraded-detect reports can label the cause.
+//
+// Phase-1 replies (shard detect of the installed set, shard DC detect)
+// are conditional: the client holds the last decoded reply per dataset
+// and route with the worker's ETag, sends the tag back as
+// If-None-Match, and on a 304 returns the reply it holds — the same
+// value, shared and read-only, which is how the coordinator tells that
+// nothing changed on that worker.
 type HTTPShardClient struct {
 	base string
 	hc   *http.Client
 
 	// rngMu guards policy and rng: SetRetryPolicy may race request
 	// goroutines reading them in callRetry/backoff.
-	rngMu   sync.Mutex
-	policy  RetryPolicy
-	rng     *rand.Rand
-	retries atomic.Uint64
+	rngMu       sync.Mutex
+	policy      RetryPolicy
+	rng         *rand.Rand
+	retries     atomic.Uint64
+	notModified atomic.Uint64
+
+	heldMu sync.Mutex
+	held   map[heldKey]heldReply
 }
+
+// heldKey names one conditional route of one dataset.
+type heldKey struct{ dataset, path string }
+
+// heldReply is a decoded phase-1 reply and the ETag it came with.
+type heldReply struct {
+	etag string
+	// set is the coordinator set a detect reply's violations point into
+	// (nil for DC replies): the reply is only good for that set.
+	set   *cfd.Set
+	reply any // []cfd.ShardResult or map[string]dc.ShardResult
+}
+
+// Routes of the conditional phase-1 calls.
+const (
+	shardDetectPath = "/v1/shard/detect"
+	shardDCPath     = "/v1/shard/dc"
+)
 
 // NewShardClient builds a client for the worker at baseURL (e.g.
 // "http://127.0.0.1:8091"). timeout bounds each RPC attempt (0 = no
@@ -73,6 +103,7 @@ func NewShardClient(baseURL string, timeout time.Duration) *HTTPShardClient {
 		base:   strings.TrimRight(baseURL, "/"),
 		hc:     &http.Client{Timeout: timeout},
 		policy: RetryPolicy{MaxAttempts: 1},
+		held:   map[heldKey]heldReply{},
 	}
 }
 
@@ -111,6 +142,10 @@ func (c *HTTPShardClient) URL() string { return c.base }
 // Retries reports the cumulative retry count — the
 // engine.RetryReporter hook /v1/stats surfaces per worker.
 func (c *HTTPShardClient) Retries() uint64 { return c.retries.Load() }
+
+// NotModified reports how many phase-1 calls the worker answered 304 —
+// the engine.NotModifiedReporter hook /v1/stats surfaces per worker.
+func (c *HTTPShardClient) NotModified() uint64 { return c.notModified.Load() }
 
 func (c *HTTPShardClient) fail(err error) error {
 	var ne net.Error
@@ -160,15 +195,15 @@ func (c *HTTPShardClient) backoff(p RetryPolicy, attempt int) time.Duration {
 	return time.Duration(c.rng.Int63n(int64(d)) + 1)
 }
 
-// callRetry is the idempotent-call path: bounded retries with jittered
-// exponential backoff on transport faults and 5xx replies.
-func (c *HTTPShardClient) callRetry(method, path string, body, out any) error {
+// callRetry is the idempotent-call path, a POST: bounded retries with
+// jittered exponential backoff on transport faults and 5xx replies.
+// inm and the results are send's.
+func (c *HTTPShardClient) callRetry(path string, body any, inm string, out any) (etag string, notModified bool, err error) {
 	p := c.getPolicy()
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = c.call(method, path, body, out)
+		etag, notModified, err = c.send(http.MethodPost, path, body, inm, out)
 		if err == nil || attempt >= p.MaxAttempts || !retryable(err) {
-			return err
+			return etag, notModified, err
 		}
 		c.retries.Add(1)
 		time.Sleep(c.backoff(p, attempt))
@@ -179,26 +214,45 @@ func (c *HTTPShardClient) callRetry(method, path string, body, out any) error {
 // response into out (out nil discards it). Non-2xx responses surface
 // the worker's structured error message.
 func (c *HTTPShardClient) call(method, path string, body, out any) error {
+	_, _, err := c.send(method, path, body, "", out)
+	return err
+}
+
+// send is call made conditional: a non-empty inm goes out as
+// If-None-Match, and a 304 carrying that tag back reports notModified
+// and leaves out untouched. A 304 to anything else — no tag sent, or
+// another tag — is the worker misbehaving. etag is the reply's ETag.
+func (c *HTTPShardClient) send(method, path string, body any, inm string, out any) (etag string, notModified bool, err error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return c.fail(err)
+			return "", false, c.fail(err)
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
-		return c.fail(err)
+		return "", false, c.fail(err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return c.fail(err)
+		return "", false, c.fail(err)
 	}
 	defer resp.Body.Close()
+	etag = resp.Header.Get("ETag")
+	if resp.StatusCode == http.StatusNotModified {
+		if inm == "" || etag != inm {
+			return "", false, c.fail(fmt.Errorf("%s %s: 304 with tag %q to a request for %q", method, path, etag, inm))
+		}
+		return etag, true, nil
+	}
 	if resp.StatusCode >= 300 {
 		msg := fmt.Sprintf("%s %s: status %d", method, path, resp.StatusCode)
 		var er errorResponse
@@ -211,17 +265,52 @@ func (c *HTTPShardClient) call(method, path string, body, out any) error {
 		// the upstream-failure cause for stats.
 		wse := &workerStatusError{Status: resp.StatusCode, Msg: msg}
 		if resp.StatusCode >= 500 {
-			return fmt.Errorf("%w: %w: %s: %w", engine.ErrWorker, engine.ErrWorkerUpstream, c.base, wse)
+			return "", false, fmt.Errorf("%w: %w: %s: %w", engine.ErrWorker, engine.ErrWorkerUpstream, c.base, wse)
 		}
-		return fmt.Errorf("%w: %s: %w", engine.ErrWorker, c.base, wse)
+		return "", false, fmt.Errorf("%w: %s: %w", engine.ErrWorker, c.base, wse)
 	}
 	if out == nil {
-		return nil
+		return etag, false, nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return c.fail(err)
+		return "", false, c.fail(err)
 	}
-	return nil
+	return etag, false, nil
+}
+
+// conditional is a phase-1 call for the reply held for (dataset, path):
+// it sends the held reply's tag when that reply was decoded against
+// set, hands the held reply back on a 304, and otherwise decodes the
+// new body and holds it under the tag it came with.
+func conditional[R, T any](c *HTTPShardClient, dataset, path string, body any, set *cfd.Set, decode func(*R) (T, error)) (T, error) {
+	key := heldKey{dataset, path}
+	c.heldMu.Lock()
+	h, ok := c.held[key]
+	c.heldMu.Unlock()
+	inm := ""
+	if ok && h.set == set {
+		inm = h.etag
+	}
+	var resp R
+	var zero T
+	etag, notModified, err := c.callRetry(path, body, inm, &resp)
+	if err != nil {
+		return zero, err
+	}
+	if notModified {
+		c.notModified.Add(1)
+		return h.reply.(T), nil
+	}
+	out, err := decode(&resp)
+	if err != nil {
+		return zero, c.fail(err)
+	}
+	if etag != "" {
+		c.heldMu.Lock()
+		c.held[key] = heldReply{etag: etag, set: set, reply: out}
+		c.heldMu.Unlock()
+	}
+	return out, nil
 }
 
 // Register ships a TID-range slice as exact encoded tuples.
@@ -242,7 +331,12 @@ func (c *HTTPShardClient) Register(dataset string, schema *relation.Schema, tupl
 }
 
 // Drop removes the worker's slice; an unknown dataset is not an error.
+// The replies held for it go first.
 func (c *HTTPShardClient) Drop(dataset string) error {
+	c.heldMu.Lock()
+	delete(c.held, heldKey{dataset, shardDetectPath})
+	delete(c.held, heldKey{dataset, shardDCPath})
+	c.heldMu.Unlock()
 	err := c.call(http.MethodDelete, "/v1/datasets/"+dataset, nil, nil)
 	if err != nil && strings.Contains(err.Error(), "unknown dataset") {
 		return nil
@@ -263,31 +357,63 @@ func (c *HTTPShardClient) InstallDCs(dataset, dcs string) error {
 
 // ShardDetect runs shard-local detection and rebuilds the results
 // against the coordinator's compiled set (same text, same order), so
-// violation CFD pointers match what cfd.MergeShards emits.
+// violation CFD pointers match what cfd.MergeShards emits. A detect of
+// the installed set is conditional: an unchanged worker answers 304 and
+// the reply held from its last answer comes back, shared and read-only.
 func (c *HTTPShardClient) ShardDetect(dataset, cfds string, set *cfd.Set) ([]cfd.ShardResult, error) {
-	var resp struct {
-		CFDs []shardCFDJSON `json:"cfds"`
+	body := shardDetectRequest{Dataset: dataset, CFDs: cfds}
+	decode := func(resp *shardDetectReply) ([]cfd.ShardResult, error) { return decodeShardDetect(set, resp.CFDs) }
+	if cfds == "" {
+		return conditional(c, dataset, shardDetectPath, body, set, decode)
 	}
-	if err := c.callRetry(http.MethodPost, "/v1/shard/detect",
-		shardDetectRequest{Dataset: dataset, CFDs: cfds}, &resp); err != nil {
+	// A candidate set is detected once; there is nothing to hold.
+	var resp shardDetectReply
+	if _, _, err := c.callRetry(shardDetectPath, body, "", &resp); err != nil {
 		return nil, err
 	}
-	all := set.All()
-	if len(resp.CFDs) != len(all) {
-		return nil, c.fail(fmt.Errorf("shard detect returned %d CFD results, set has %d", len(resp.CFDs), len(all)))
+	out, err := decode(&resp)
+	if err != nil {
+		return nil, c.fail(err)
 	}
-	out := make([]cfd.ShardResult, len(resp.CFDs))
-	for ci, cj := range resp.CFDs {
+	return out, nil
+}
+
+type shardDetectReply struct {
+	CFDs []shardCFDJSON `json:"cfds"`
+}
+
+// decodeShardDetect checks a worker's phase-1 reply against set before
+// anything merges or holds it — a group stream per CFD with keys
+// strictly ascending (the merge is a k-way merge of sorted streams),
+// non-empty groups, and only violations the CFD can emit — and rebuilds
+// it against set's CFDs.
+func decodeShardDetect(set *cfd.Set, resp []shardCFDJSON) ([]cfd.ShardResult, error) {
+	all := set.All()
+	if len(resp) != len(all) {
+		return nil, fmt.Errorf("shard detect returned %d CFD results, set has %d", len(resp), len(all))
+	}
+	out := make([]cfd.ShardResult, len(resp))
+	for ci, cj := range resp {
+		c, rhs := all[ci], all[ci].RHS()
 		groups := make([]cfd.ShardGroup, len(cj.Groups))
 		for gi, gj := range cj.Groups {
 			raw, err := base64.StdEncoding.DecodeString(gj.Key)
 			if err != nil {
-				return nil, c.fail(fmt.Errorf("group key: %w", err))
+				return nil, fmt.Errorf("%s group %d key: %w", c.Name(), gi, err)
+			}
+			if gi > 0 && string(raw) <= groups[gi-1].Key {
+				return nil, fmt.Errorf("%s group %d: keys not strictly ascending", c.Name(), gi)
+			}
+			if gj.N < 1 {
+				return nil, fmt.Errorf("%s group %d: %d members", c.Name(), gi, gj.N)
 			}
 			g := cfd.ShardGroup{Key: string(raw), N: gj.N}
 			for _, vj := range gj.Vios {
+				if err := checkShardVio(c, rhs, gj.N, vj); err != nil {
+					return nil, fmt.Errorf("%s group %d: %w", c.Name(), gi, err)
+				}
 				g.Vios = append(g.Vios, cfd.Violation{
-					CFD:  all[ci],
+					CFD:  c,
 					Row:  vj.Row,
 					Kind: cfd.ViolationKind(vj.Kind),
 					Attr: vj.Attr,
@@ -299,6 +425,31 @@ func (c *HTTPShardClient) ShardDetect(dataset, cfds string, set *cfd.Set) ([]cfd
 		out[ci] = cfd.ShardResult{Groups: groups}
 	}
 	return out, nil
+}
+
+// checkShardVio rejects a violation c cannot have in a group of n: a
+// tableau row or attribute c does not have, an unknown kind, a constant
+// violation of other than one tuple, TIDs out of order or more than the
+// group holds.
+func checkShardVio(c *cfd.CFD, rhs []int, n int, v shardVioJSON) error {
+	switch {
+	case v.Row < 0 || v.Row >= c.Rows():
+		return fmt.Errorf("tableau row %d of %d", v.Row, c.Rows())
+	case !slices.Contains(rhs, v.Attr):
+		return fmt.Errorf("attribute %d is not on the right-hand side", v.Attr)
+	case v.Kind != int(cfd.ConstViolation) && v.Kind != int(cfd.VarViolation):
+		return fmt.Errorf("violation kind %d", v.Kind)
+	case v.Kind == int(cfd.ConstViolation) && len(v.TIDs) != 1:
+		return fmt.Errorf("constant violation of %d tuples", len(v.TIDs))
+	case len(v.TIDs) == 0 || len(v.TIDs) > n:
+		return fmt.Errorf("violation of %d tuples in a group of %d", len(v.TIDs), n)
+	}
+	for i, tid := range v.TIDs {
+		if tid < 0 || i > 0 && tid <= v.TIDs[i-1] {
+			return fmt.Errorf("TIDs %v not ascending from 0", v.TIDs)
+		}
+	}
+	return nil
 }
 
 // ShardGroups is ShardGroupsBatch of one summary query.
@@ -320,8 +471,8 @@ func (c *HTTPShardClient) ShardGroupsBatch(dataset string, queries []cfd.GroupQu
 	var resp struct {
 		Queries [][]shardSideJSON `json:"queries"`
 	}
-	if err := c.callRetry(http.MethodPost, "/v1/shard/groups",
-		shardGroupsRequest{Dataset: dataset, Queries: queries}, &resp); err != nil {
+	if _, _, err := c.callRetry("/v1/shard/groups",
+		shardGroupsRequest{Dataset: dataset, Queries: queries}, "", &resp); err != nil {
 		return nil, err
 	}
 	out, err := decodeShardSides(queries, resp.Queries)
@@ -382,30 +533,30 @@ func decodeShardSides(queries []cfd.GroupQuery, resp [][]shardSideJSON) ([][]cfd
 	return out, nil
 }
 
-// ShardDCs runs shard-local DC detection, keyed by DC name.
+// ShardDCs runs shard-local DC detection, keyed by DC name —
+// conditionally, like ShardDetect of the installed set.
 func (c *HTTPShardClient) ShardDCs(dataset string) (map[string]dc.ShardResult, error) {
-	var resp struct {
+	type reply struct {
 		DCs []shardDCJSON `json:"dcs"`
 	}
-	if err := c.callRetry(http.MethodPost, "/v1/shard/dc", shardDCRequest{Dataset: dataset}, &resp); err != nil {
-		return nil, err
-	}
-	out := make(map[string]dc.ShardResult, len(resp.DCs))
-	for _, dj := range resp.DCs {
-		var res dc.ShardResult
-		for _, v := range dj.Vios {
-			res.Vios = append(res.Vios, dc.Violation{T: v.T, U: v.U})
-		}
-		for _, k := range dj.Keys {
-			raw, err := base64.StdEncoding.DecodeString(k)
-			if err != nil {
-				return nil, c.fail(fmt.Errorf("dc group key: %w", err))
+	return conditional(c, dataset, shardDCPath, shardDCRequest{Dataset: dataset}, nil, func(resp *reply) (map[string]dc.ShardResult, error) {
+		out := make(map[string]dc.ShardResult, len(resp.DCs))
+		for _, dj := range resp.DCs {
+			var res dc.ShardResult
+			for _, v := range dj.Vios {
+				res.Vios = append(res.Vios, dc.Violation{T: v.T, U: v.U})
 			}
-			res.Keys = append(res.Keys, string(raw))
+			for _, k := range dj.Keys {
+				raw, err := base64.StdEncoding.DecodeString(k)
+				if err != nil {
+					return nil, fmt.Errorf("dc group key: %w", err)
+				}
+				res.Keys = append(res.Keys, string(raw))
+			}
+			out[dj.Name] = res
 		}
-		out[dj.Name] = res
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // Append routes raw tuple fields to the worker's incremental repair

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"crypto/rand"
 	"encoding/base64"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"semandaq/internal/cfd"
@@ -29,6 +31,35 @@ import (
 //	POST /v1/shard/dc        shard-local DC detection + group keys
 //
 // TIDs in every response are shard-local; the coordinator translates.
+//
+// /v1/shard/detect of the installed set and /v1/shard/dc are phase-1
+// replies the coordinator asks for on every detect. They carry
+// ETag "<boot nonce>-<session version>" (shardTag) and answer an
+// If-None-Match naming the current tag with an empty 304, without
+// detecting: the version moves on every change to the data, the CFDs or
+// the DCs, is never reissued within the process, and the nonce keeps a
+// restarted worker from honouring its predecessor's tags.
+
+// bootNonce is this process's part of every shard tag.
+var bootNonce = rand.Text()
+
+// shardTag is the ETag of a phase-1 reply computed at version v.
+func shardTag(v uint64) string {
+	return `"` + bootNonce + "-" + strconv.FormatUint(v, 10) + `"`
+}
+
+// notModified sets tag as the reply's ETag and answers 304 when the
+// request already holds it. The caller reads the version BEFORE it
+// detects (engine.Session.Version), so a tag never claims a state newer
+// than the reply it labels.
+func notModified(w http.ResponseWriter, r *http.Request, tag string) bool {
+	w.Header().Set("ETag", tag)
+	if r.Header.Get("If-None-Match") != tag {
+		return false
+	}
+	w.WriteHeader(http.StatusNotModified)
+	return true
+}
 
 type shardRegisterRequest struct {
 	Name   string     `json:"name"`
@@ -104,6 +135,9 @@ func (s *Server) handleShardDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var set *cfd.Set // nil = installed
+	if req.CFDs == "" && notModified(w, r, shardTag(sess.Version())) {
+		return
+	}
 	if req.CFDs != "" {
 		var err error
 		set, err = s.eng.CompileConstraints(sess.Schema(), req.CFDs)
@@ -213,7 +247,7 @@ func (s *Server) handleShardDC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess, ok := s.session(w, req.Dataset)
-	if !ok {
+	if !ok || notModified(w, r, shardTag(sess.Version())) {
 		return
 	}
 	results := sess.ShardDCs()

@@ -27,17 +27,25 @@ func fiveCFDs() string {
 	return datagen.CustConstraints().String() + "\ncfd phi5: cust([CT, ZIP] -> [STR])\n"
 }
 
-// shardTap records, per path, a worker's calls and response bodies.
+// shardTap records, per path, a worker's calls, response statuses and
+// response bodies.
 type shardTap struct {
 	next   http.Handler
 	mu     sync.Mutex
 	calls  map[string]int
+	codes  map[string][]int
 	bodies map[string][][]byte
 }
 
 type tapWriter struct {
 	http.ResponseWriter
-	buf bytes.Buffer
+	code int
+	buf  bytes.Buffer
+}
+
+func (w *tapWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *tapWriter) Write(p []byte) (int, error) {
@@ -46,17 +54,18 @@ func (w *tapWriter) Write(p []byte) (int, error) {
 }
 
 func (h *shardTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	tw := &tapWriter{ResponseWriter: w}
+	tw := &tapWriter{ResponseWriter: w, code: http.StatusOK}
 	h.next.ServeHTTP(tw, r)
 	h.mu.Lock()
 	h.calls[r.URL.Path]++
+	h.codes[r.URL.Path] = append(h.codes[r.URL.Path], tw.code)
 	h.bodies[r.URL.Path] = append(h.bodies[r.URL.Path], tw.buf.Bytes())
 	h.mu.Unlock()
 }
 
 func (h *shardTap) reset() {
 	h.mu.Lock()
-	h.calls, h.bodies = map[string]int{}, map[string][][]byte{}
+	h.calls, h.codes, h.bodies = map[string]int{}, map[string][]int{}, map[string][][]byte{}
 	h.mu.Unlock()
 }
 
