@@ -7,7 +7,7 @@ SHELL := /bin/bash
 # real measurements.
 BENCHTIME ?= 1x
 
-.PHONY: all check fmt vet build test race race-cache fuzz-smoke bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
+.PHONY: all check fmt vet build test race race-cache fuzz-smoke loc bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
 
 all: check
 
@@ -62,6 +62,17 @@ race-cache:
 fuzz-smoke:
 	grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' cmd internal | while IFS=: read -r file fn; do \
 		$(GO) test "./$$(dirname "$$file")" -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s -fuzzminimizetime 2s || exit 1; \
+	done
+
+# loc prints the non-test Go lines (wc -l) of every package of the root
+# module and of bench/, each module with its total: the number every
+# simplicity PR and ROADMAP re-anchor quotes.
+loc:
+	@for mod in . bench; do \
+		find $$mod \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print \
+		| xargs wc -l | grep -v ' total$$' \
+		| awk -v mod=$$mod '{ d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  %s (module)\n", t, mod }'; \
 	done
 
 # bench runs the perf-trajectory benchmarks CI archives on every run:

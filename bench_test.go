@@ -443,7 +443,7 @@ func BenchmarkDiscoveryWarmSession(b *testing.B) {
 // append a small delta to a warm 100k-tuple session, incrementally
 // repair it, and re-detect. The incremental path appends into the
 // session relation and absorbs the delta into the cached PLIs
-// (PLI.Advance — zero rebuilds, asserted by the engine tests); the
+// (PLI.advance — zero rebuilds, asserted by the engine tests); the
 // rebuild baseline reproduces the pre-advance architecture, where every
 // append cloned the base into a fresh combined relation and every
 // partition was counting-sorted from scratch on the next detect. This
@@ -512,7 +512,7 @@ func BenchmarkAppendDetect(b *testing.B) {
 // region tableau while psi2 keys a detection partition on (CT, ZIP) —
 // so every repair write lands in the patch journal of a column a cached
 // partition depends on. The incremental path drains those journals into
-// the cached PLIs per cell (PLI.Patch — zero rebuilds, asserted below
+// the cached PLIs per cell (PLI.patch — zero rebuilds, asserted below
 // via CacheStats); the rebuild baseline reproduces the pre-patch
 // architecture, where any Set hard-invalidated its column and the next
 // detect counting-sorted the affected partitions from scratch. This is

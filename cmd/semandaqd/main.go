@@ -84,28 +84,23 @@ import (
 	"syscall"
 	"time"
 
-	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
-	"semandaq/internal/dc"
 	"semandaq/internal/engine"
 	"semandaq/internal/noise"
-	"semandaq/internal/relation"
 	"semandaq/internal/server"
 	"semandaq/internal/wal"
 )
 
 // backend is what the one serving loop below needs from the engine
 // behind the handler — *engine.Engine, or *engine.Coordinator with
-// -cluster. Both replay a WAL, take a journal and install constraint
-// text; only the engine is also a wal.CheckpointSource (the
-// coordinator's log IS its registry, so it never checkpoints) and has
-// spill directories to Close.
+// -cluster. Both are a registry that replays a WAL and takes a journal;
+// only the engine is also a wal.CheckpointSource (the coordinator's log
+// IS its registry, so it never checkpoints) and has spill directories
+// to Close.
 type backend interface {
+	engine.Registry
 	wal.Applier
 	SetJournal(engine.Journal)
-	List() []string
-	InstallConstraints(dataset, text string) (*cfd.Set, error)
-	InstallDCs(dataset, text string) (*dc.Set, error)
 }
 
 func main() {
@@ -143,10 +138,9 @@ func main() {
 
 	// The two modes differ in what is built here and nowhere below.
 	var (
-		be       backend
-		handler  *server.Server
-		register func(name string, data *relation.Relation) error
-		role     = "semandaqd"
+		be      backend
+		handler *server.Server
+		role    = "semandaqd"
 	)
 	if *cluster != "" {
 		coord, err := newCoordinator(*cluster)
@@ -154,10 +148,6 @@ func main() {
 			log.Fatalf("semandaqd: %v", err)
 		}
 		be, handler = coord, server.NewCoordinator(coord)
-		register = func(name string, data *relation.Relation) error {
-			_, err := coord.Register(name, data)
-			return err
-		}
 		role = fmt.Sprintf("semandaqd coordinator for %d workers", len(coord.Workers()))
 	} else {
 		budget := *indexBudgetMB << 20
@@ -172,10 +162,6 @@ func main() {
 			log.Printf("tiered index storage under %s", *spillDir)
 		}
 		be, handler = eng, server.New(eng)
-		register = func(name string, data *relation.Relation) error {
-			_, err := eng.Register(name, data)
-			return err
-		}
 		if *workerMode {
 			role = "semandaqd worker"
 		}
@@ -229,7 +215,7 @@ func main() {
 	}
 
 	if *preloadN > 0 {
-		if err := preload(be, register, *preloadN); err != nil {
+		if err := preload(be, *preloadN); err != nil {
 			log.Fatalf("semandaqd: preload: %v", err)
 		}
 	}
@@ -310,7 +296,7 @@ func newCoordinator(workerList string) (*engine.Coordinator, error) {
 // on a local engine, range-partitioned across the fleet by a
 // coordinator — skipping those recovery already restored: the durable
 // state, not the generator, is authoritative across restarts.
-func preload(be backend, register func(string, *relation.Relation) error, n int) error {
+func preload(be backend, n int) error {
 	have := be.List()
 	if !slices.Contains(have, "cust") {
 		// The benchmark workload: a noisy cust relation with the
@@ -322,7 +308,7 @@ func preload(be backend, register func(string, *relation.Relation) error, n int)
 			Attrs: []int{schema.MustIndex("STR"), schema.MustIndex("CT")},
 			Seed:  2,
 		})
-		if err := register("cust", dirty); err != nil {
+		if _, err := be.Add("cust", dirty); err != nil {
 			return err
 		}
 		if _, err := be.InstallConstraints("cust", datagen.CustConstraints().String()); err != nil {
@@ -343,7 +329,7 @@ func preload(be backend, register func(string, *relation.Relation) error, n int)
 		// finds violations and /v1/dc/relax has weakenings to rank right
 		// after startup.
 		nEmp := (n + 9) / 10
-		if err := register("emp", datagen.Emp(nEmp, max(nEmp/100, 1), 3)); err != nil {
+		if _, err := be.Add("emp", datagen.Emp(nEmp, max(nEmp/100, 1), 3)); err != nil {
 			return err
 		}
 		if _, err := be.InstallDCs("emp", datagen.EmpDCText()); err != nil {

@@ -366,9 +366,9 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 //
 // IncDetect tolerates an overlay: the PLI may come from
 // IndexCache.GetDelta, with appended rows absorbed but not compacted
-// (relation.PLI.Advance), so an appended batch costs O(delta) partition
+// (relation.PLI.advance), so an appended batch costs O(delta) partition
 // maintenance plus the touched groups — no rebuild, no compaction.
-// It equally tolerates patched partitions (relation.PLI.Patch, the
+// It equally tolerates patched partitions (relation.PLI.patch, the
 // drained form of a Set's journal entry): a re-homed TID is recorded as
 // added to its new group and removed from its old one, both of which
 // Group and GroupOf present as ordinary membership.

@@ -35,7 +35,7 @@ func (c *Coordinator) ApplyRegister(name string, schema *relation.Schema, rows [
 	for _, cl := range c.clients {
 		_ = cl.Drop(name)
 	}
-	_, err := c.register(name, schema, rows)
+	_, err := c.registerRows(name, schema, rows)
 	return err
 }
 
@@ -54,45 +54,22 @@ func (c *Coordinator) ApplyConfirm(name string, _, _ int) error {
 	return fmt.Errorf("engine: unexpected confirm record for %q in coordinator log", name)
 }
 
-// ApplyConstraints replays a constraint installation on every worker.
-func (c *Coordinator) ApplyConstraints(name, text string) error {
-	_, err := c.InstallConstraints(name, text)
-	return err
-}
-
-// ApplyDCs replays a denial-constraint installation on every worker.
-func (c *Coordinator) ApplyDCs(name, text string) error {
-	_, err := c.InstallDCs(name, text)
-	return err
-}
-
-// ApplyDrop replays a dataset drop, tolerating a missing dataset.
-func (c *Coordinator) ApplyDrop(name string) error {
-	c.Drop(name)
-	return nil
-}
-
 // ApplyAppendRaw replays an append through the same tail-worker
 // incremental-repair path the original took, so the worker ends with
 // the same repaired delta.
 func (c *Coordinator) ApplyAppendRaw(name string, rows [][]string) error {
-	_, err := c.Append(name, rows)
-	return err
-}
-
-// DatasetArity resolves the schema arity replay needs to decode rows.
-func (c *Coordinator) DatasetArity(name string) (int, bool) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return 0, false
+	cd, err := c.lookup(name)
+	if err != nil {
+		return err
 	}
-	return cd.schema.Arity(), true
+	_, err = cd.AppendRows(rows)
+	return err
 }
 
 // --- registry mirror.
 
-// RegistryDataset is one dataset's entry in the JSON registry mirror.
-type RegistryDataset struct {
+// mirrorEntry is one dataset's entry in the JSON registry mirror.
+type mirrorEntry struct {
 	Name    string `json:"name"`
 	Schema  string `json:"schema"`
 	Counts  []int  `json:"worker_counts"`
@@ -100,10 +77,10 @@ type RegistryDataset struct {
 	DCText  string `json:"dcs,omitempty"`
 }
 
-// Registry is the coordinator's registry-mirror document.
-type Registry struct {
-	Workers  []string          `json:"workers"`
-	Datasets []RegistryDataset `json:"datasets"`
+// mirrorDoc is the coordinator's registry-mirror document.
+type mirrorDoc struct {
+	Workers  []string      `json:"workers"`
+	Datasets []mirrorEntry `json:"datasets"`
 }
 
 // mirrorRegistry writes the coordinator's registry as JSON next to the
@@ -116,14 +93,14 @@ func (c *Coordinator) mirrorRegistry() {
 	if !ok {
 		return
 	}
-	reg := Registry{Workers: c.Workers()}
+	reg := mirrorDoc{Workers: c.Workers()}
 	for _, name := range c.List() {
 		cd, ok := c.Get(name)
 		if !ok {
 			continue
 		}
 		cd.mu.RLock()
-		reg.Datasets = append(reg.Datasets, RegistryDataset{
+		reg.Datasets = append(reg.Datasets, mirrorEntry{
 			Name:    name,
 			Schema:  cd.schema.String(),
 			Counts:  append([]int(nil), cd.counts...),

@@ -11,6 +11,7 @@ import (
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/dc"
+	"semandaq/internal/discovery"
 	"semandaq/internal/relation"
 )
 
@@ -113,8 +114,10 @@ type WorkerTotals struct {
 // ClusterDataset is the coordinator's record of one range-partitioned
 // dataset: worker w owns global TIDs [offset(w), offset(w)+counts[w]).
 // The coordinator holds NO tuple data — only the schema, the compiled
-// constraint sets (for the merge), and the per-worker counts.
+// constraint sets (for the merge), and the per-worker counts — and
+// answers every Dataset operation by fanning out to its workers.
 type ClusterDataset struct {
+	c       *Coordinator
 	mu      sync.RWMutex
 	name    string
 	schema  *relation.Schema
@@ -131,11 +134,12 @@ type ClusterDataset struct {
 	// in-memory fields.
 	wm sync.Mutex
 
-	// dropped, guarded by wm, marks the dataset removed. Drop journals
-	// its record under wm and sets this before unpublishing, so a
-	// mutation racing the drop either journals wholly before the drop
-	// record or sees the flag and refuses — the WAL never orders a
-	// mutation record after its dataset's drop record.
+	// journal and dropped are guarded by wm. Drop journals its record
+	// under wm and sets dropped before unpublishing, so a mutation racing
+	// the drop either journals wholly before the drop record or sees the
+	// flag and refuses — the WAL never orders a mutation record after its
+	// dataset's drop record.
+	journal Journal
 	dropped bool
 
 	// vio is the cached global violation list and stats the merge that
@@ -237,6 +241,9 @@ func (cd *ClusterDataset) DCs() *dc.Set {
 	return cd.dcs
 }
 
+// Storage reports the per-worker tuple counts.
+func (cd *ClusterDataset) Storage() Storage { return Storage{Shards: cd.Counts()} }
+
 func (cd *ClusterDataset) offsets() []int {
 	out := make([]int, len(cd.counts))
 	off := 0
@@ -249,34 +256,17 @@ func (cd *ClusterDataset) offsets() []int {
 
 // Coordinator fans requests out to worker processes and merges their
 // shard-local results into globally exact answers (cfd.MergeShards /
-// dc.MergeShards). It is the cluster-mode counterpart of Engine.
+// dc.MergeShards). It is the cluster-mode counterpart of Engine, with
+// the same registry. Its journal records register (with full rows: the
+// coordinator holds no tuple data, so the WAL doubles as the worker
+// re-feed source), raw appends, constraint/DC text and drops; see
+// cluster_durable.go for the recovery side.
 type Coordinator struct {
+	registry[*ClusterDataset]
 	clients []ShardClient
 
-	mu       sync.RWMutex
-	datasets map[string]*ClusterDataset
+	statsMu  sync.Mutex
 	workerNS map[string]*WorkerTotals
-
-	// journal, when attached (SetJournal), records every registry
-	// mutation — register (with full rows: the coordinator holds no
-	// tuple data, so the WAL doubles as the worker re-feed source),
-	// raw appends, constraint/DC text, drops — before the client is
-	// acked. See cluster_durable.go for the recovery side.
-	journal Journal
-}
-
-// SetJournal attaches (or detaches, with nil) the coordinator's
-// durability journal. Attach AFTER recovery has replayed the log.
-func (c *Coordinator) SetJournal(j Journal) {
-	c.mu.Lock()
-	c.journal = j
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) getJournal() Journal {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.journal
 }
 
 // NewCoordinator builds a coordinator over the given workers (at least
@@ -286,8 +276,8 @@ func NewCoordinator(clients []ShardClient) (*Coordinator, error) {
 		return nil, fmt.Errorf("engine: coordinator needs at least one worker")
 	}
 	return &Coordinator{
+		registry: newRegistry[*ClusterDataset](),
 		clients:  clients,
-		datasets: map[string]*ClusterDataset{},
 		workerNS: map[string]*WorkerTotals{},
 	}, nil
 }
@@ -317,12 +307,12 @@ type NotModifiedReporter interface {
 // latency and cause-labeled error counters — the coordinator side of
 // GET /v1/stats.
 func (c *Coordinator) WorkerStats() map[string]WorkerTotals {
-	c.mu.RLock()
+	c.statsMu.Lock()
 	out := make(map[string]WorkerTotals, len(c.workerNS))
 	for url, t := range c.workerNS {
 		out[url] = *t
 	}
-	c.mu.RUnlock()
+	c.statsMu.Unlock()
 	for _, cl := range c.clients {
 		t := out[cl.URL()]
 		if rr, ok := cl.(RetryReporter); ok {
@@ -337,7 +327,7 @@ func (c *Coordinator) WorkerStats() map[string]WorkerTotals {
 }
 
 func (c *Coordinator) recordWorker(url string, d time.Duration, err error) {
-	c.mu.Lock()
+	c.statsMu.Lock()
 	t := c.workerNS[url]
 	if t == nil {
 		t = &WorkerTotals{}
@@ -357,7 +347,7 @@ func (c *Coordinator) recordWorker(url string, d time.Duration, err error) {
 		}
 		t.LastErrMsg = err.Error()
 	}
-	c.mu.Unlock()
+	c.statsMu.Unlock()
 }
 
 // fanOutAll runs fn(w, client) for every worker concurrently,
@@ -402,209 +392,139 @@ func (c *Coordinator) fanOut(fn func(w int, cl ShardClient) error) ([]WorkerCall
 // remainder on the leading shards) and registers each slice. On any
 // failure the already-registered slices are dropped.
 func (c *Coordinator) Register(name string, data *relation.Relation) (*ClusterDataset, error) {
-	return c.register(name, data.Schema(), data.Tuples())
+	return c.registerRows(name, data.Schema(), data.Tuples())
 }
 
-// register is Register over bare rows — the form recovery replays
-// (ApplyRegister). Slices alias rows; clients only read them.
-func (c *Coordinator) register(name string, schema *relation.Schema, rows []relation.Tuple) (*ClusterDataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: dataset name must be non-empty")
-	}
-	c.mu.Lock()
-	if _, dup := c.datasets[name]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("engine: dataset %q: %w", name, ErrDuplicate)
-	}
-	// Reserve the name so concurrent registrations don't double-ship.
-	c.datasets[name] = nil
-	c.mu.Unlock()
+// Add is Register behind the Registry interface.
+func (c *Coordinator) Add(name string, data *relation.Relation) (Dataset, error) {
+	return added(c.Register(name, data))
+}
 
-	w := len(c.clients)
-	size, rem := len(rows)/w, len(rows)%w
-	counts := make([]int, w)
-	slices := make([][]relation.Tuple, w)
-	tid := 0
-	for i := range slices {
-		counts[i] = size
-		if i < rem {
-			counts[i]++
+// registerRows is Register over bare rows — the form recovery replays
+// (ApplyRegister). Slices alias rows; clients only read them. The
+// register record carries the FULL rows: the coordinator keeps no tuple
+// data, so it is what re-feeds the workers their slices at recovery.
+func (c *Coordinator) registerRows(name string, schema *relation.Schema, rows []relation.Tuple) (*ClusterDataset, error) {
+	cd, err := c.register(name, schema, rows, func(j Journal) (*ClusterDataset, error) {
+		w := len(c.clients)
+		size, rem := len(rows)/w, len(rows)%w
+		cd := &ClusterDataset{
+			c:       c,
+			name:    name,
+			schema:  schema,
+			counts:  make([]int, w),
+			cfds:    cfd.NewSet(schema),
+			dcs:     dc.NewSet(schema),
+			journal: j,
 		}
-		slices[i] = rows[tid : tid+counts[i]]
-		tid += counts[i]
-	}
-	undo := func() {
-		for _, cl := range c.clients {
-			_ = cl.Drop(name)
+		slices := make([][]relation.Tuple, w)
+		tid := 0
+		for i := range slices {
+			cd.counts[i] = size
+			if i < rem {
+				cd.counts[i]++
+			}
+			slices[i] = rows[tid : tid+cd.counts[i]]
+			tid += cd.counts[i]
 		}
-		c.mu.Lock()
-		delete(c.datasets, name)
-		c.mu.Unlock()
-	}
-	_, err := c.fanOut(func(w int, cl ShardClient) error {
-		return cl.Register(name, schema, slices[w])
+		if _, err := c.fanOut(func(w int, cl ShardClient) error {
+			return cl.Register(name, schema, slices[w])
+		}); err != nil {
+			cd.release()
+			return nil, err
+		}
+		return cd, nil
 	})
-	if err != nil {
-		undo()
-		return nil, err
+	if err == nil {
+		c.mirrorRegistry()
 	}
-	// Journal the FULL rows before publishing: the coordinator keeps no
-	// tuple data, so the register record is what re-feeds the workers
-	// their slices at recovery. A non-durable register is undone (the
-	// workers drop their slices) rather than acked.
-	if j := c.getJournal(); j != nil {
-		if err := j.LogRegister(name, schema, rows); err != nil {
-			undo()
-			return nil, notDurable(fmt.Sprintf("register of %q", name), err)
-		}
-	}
-	cd := &ClusterDataset{
-		name:   name,
-		schema: schema,
-		counts: counts,
-		cfds:   cfd.NewSet(schema),
-		dcs:    dc.NewSet(schema),
-	}
-	c.mu.Lock()
-	c.datasets[name] = cd
-	c.mu.Unlock()
-	c.mirrorRegistry()
-	return cd, nil
+	return cd, err
 }
 
-// Get returns the named cluster dataset.
-func (c *Coordinator) Get(name string) (*ClusterDataset, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cd, ok := c.datasets[name]
-	if !ok || cd == nil {
-		return nil, false
-	}
-	return cd, true
-}
-
-// List returns the registered dataset names, sorted.
-func (c *Coordinator) List() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.datasets))
-	for name, cd := range c.datasets {
-		if cd != nil {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Drop removes the dataset cluster-wide and reports whether it
-// existed. Journal-first, like Engine.Drop: a drop that isn't durable
-// must not be acked, or recovery would resurrect the dataset.
-func (c *Coordinator) Drop(name string) bool {
-	cd, ok := c.Get(name)
-	if !ok {
-		return false
-	}
-	// Journal under wm — the exclusion every mutation journals under —
-	// so a racing append/install either lands wholly before the drop
-	// record or sees cd.dropped and refuses; the WAL never carries a
-	// record for this dataset after its drop record.
+func (cd *ClusterDataset) setJournal(j Journal) {
 	cd.wm.Lock()
-	if cd.dropped {
-		cd.wm.Unlock()
+	cd.journal = j
+	cd.wm.Unlock()
+}
+
+// retire journals the drop under wm (see member.retire).
+func (cd *ClusterDataset) retire() bool {
+	cd.wm.Lock()
+	defer cd.wm.Unlock()
+	if cd.dropped || cd.journal != nil && cd.journal.LogDrop(cd.name) != nil {
 		return false
-	}
-	if j := c.getJournal(); j != nil {
-		if err := j.LogDrop(name); err != nil {
-			cd.wm.Unlock()
-			return false
-		}
 	}
 	cd.dropped = true
-	cd.wm.Unlock()
-	c.mu.Lock()
-	if cur, ok := c.datasets[name]; ok && cur == cd {
-		delete(c.datasets, name)
-	}
-	c.mu.Unlock()
-	_, _ = c.fanOut(func(_ int, cl ShardClient) error { return cl.Drop(name) })
-	c.mirrorRegistry()
 	return true
+}
+
+// release drops the dataset's slices from every worker.
+func (cd *ClusterDataset) release() {
+	_, _ = cd.c.fanOut(func(_ int, cl ShardClient) error { return cl.Drop(cd.name) })
+	cd.c.mirrorRegistry()
 }
 
 // InstallConstraints compiles CFD text locally (the coordinator's merge
 // needs the set) and installs the same text on every worker's slice.
-func (c *Coordinator) InstallConstraints(name, text string) (*cfd.Set, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+func (cd *ClusterDataset) InstallConstraints(text string) (*cfd.Set, error) {
 	set, err := cfd.ParseSet(text, cd.schema)
 	if err != nil {
 		return nil, err
 	}
-	cd.wm.Lock()
-	defer cd.wm.Unlock()
-	if cd.dropped {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
-	if _, err := c.fanOut(func(_ int, cl ShardClient) error {
-		return cl.InstallConstraints(name, text)
+	if err := cd.install(text, ShardClient.InstallConstraints, Journal.LogConstraints, "constraints", func() {
+		cd.cfds, cd.cfdText = set, text
+		cd.vio.drop()
+		cd.version++
 	}); err != nil {
 		return nil, err
 	}
-	if j := c.getJournal(); j != nil {
-		if err := j.LogConstraints(name, text); err != nil {
-			return nil, notDurable(fmt.Sprintf("constraints for %q", name), err)
-		}
-	}
-	cd.mu.Lock()
-	cd.cfds, cd.cfdText = set, text
-	cd.vio.drop()
-	cd.version++
-	cd.mu.Unlock()
-	c.mirrorRegistry()
 	return set, nil
 }
 
 // InstallDCs compiles DC text locally and installs it on every worker.
-func (c *Coordinator) InstallDCs(name, text string) (*dc.Set, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+func (cd *ClusterDataset) InstallDCs(text string) (*dc.Set, error) {
 	set, err := dc.ParseSet(text, cd.schema)
 	if err != nil {
 		return nil, err
 	}
 	// Reject unpartitionable DCs at install time, not mid-detect.
-	if len(c.clients) > 1 {
+	if w := len(cd.c.clients); w > 1 {
 		for _, d := range set.All() {
 			if d.TwoTuple() && len(d.EqualityAttrs()) == 0 {
-				return nil, fmt.Errorf("engine: DC %s has no cross-side equality predicate; it cannot be detected across %d workers", d.Name(), len(c.clients))
+				return nil, fmt.Errorf("engine: DC %s has no cross-side equality predicate; it cannot be detected across %d workers", d.Name(), w)
 			}
 		}
 	}
-	cd.wm.Lock()
-	defer cd.wm.Unlock()
-	if cd.dropped {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
-	if _, err := c.fanOut(func(_ int, cl ShardClient) error {
-		return cl.InstallDCs(name, text)
+	if err := cd.install(text, ShardClient.InstallDCs, Journal.LogDCs, "DCs", func() {
+		cd.dcs, cd.dcText = set, text
 	}); err != nil {
 		return nil, err
 	}
-	if j := c.getJournal(); j != nil {
-		if err := j.LogDCs(name, text); err != nil {
-			return nil, notDurable(fmt.Sprintf("DCs for %q", name), err)
+	return set, nil
+}
+
+// install sends constraint text to every worker, journals it and runs
+// publish under mu, all under wm.
+func (cd *ClusterDataset) install(text string, send func(ShardClient, string, string) error,
+	log func(Journal, string, string) error, what string, publish func()) error {
+	cd.wm.Lock()
+	defer cd.wm.Unlock()
+	if cd.dropped {
+		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, cd.name)
+	}
+	if _, err := cd.c.fanOut(func(_ int, cl ShardClient) error { return send(cl, cd.name, text) }); err != nil {
+		return err
+	}
+	if cd.journal != nil {
+		if err := log(cd.journal, cd.name, text); err != nil {
+			return notDurable(fmt.Sprintf("%s for %q", what, cd.name), err)
 		}
 	}
 	cd.mu.Lock()
-	cd.dcs, cd.dcText = set, text
+	publish()
 	cd.mu.Unlock()
-	c.mirrorRegistry()
-	return set, nil
+	cd.c.mirrorRegistry()
+	return nil
 }
 
 // WorkerFailure identifies one worker whose shard results are missing
@@ -614,24 +534,6 @@ type WorkerFailure struct {
 	URL   string `json:"url"`
 	Cause string `json:"cause"`
 	Err   string `json:"error,omitempty"`
-}
-
-// DetectResult is one scatter-gather detection outcome.
-type DetectResult struct {
-	Violations []cfd.Violation
-	Stats      cfd.MergeStats
-	// Workers are the per-worker shard-detect latencies of this call.
-	Workers []WorkerCall
-	// Gen is the generation of the cached list this result equals, 0
-	// when it was not cached (see Session.SharedViolations).
-	Gen uint64
-	// Degraded reports that one or more workers failed mid-detect and
-	// their shards are absent from the merge: Violations is a sound
-	// partial answer over the surviving shards, never a silent global
-	// one. Degraded results are not cached.
-	Degraded bool
-	// Failed lists the workers excluded from a degraded merge.
-	Failed []WorkerFailure
 }
 
 // Detect fans detection of the installed constraints out to the
@@ -646,15 +548,12 @@ type DetectResult struct {
 // result covers the surviving shards and carries Degraded plus the
 // failed workers, instead of a blanket error — only all workers failing
 // is an error.
-func (c *Coordinator) Detect(name string) (*DetectResult, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+func (cd *ClusterDataset) Detect() (*DetectResult, error) {
+	c := cd.c
 	cd.mu.RLock()
 	set, offsets, ver := cd.cfds, cd.offsets(), cd.version
 	cd.mu.RUnlock()
-	results, calls, failed, err := c.scatter(name, "", set, true)
+	results, calls, failed, err := c.scatter(cd.name, "", set, true)
 	if err != nil {
 		return nil, err
 	}
@@ -665,14 +564,15 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 		// merged is stored only with vio and version moves whenever vio
 		// is dropped, so a current merged means a valid vio.
 		if cd.version == ver && m.version == ver && m.set == set && sameReplies(m.replies, results) {
-			res = &DetectResult{Violations: slices.Clone(cd.vio.list), Stats: cd.stats, Workers: calls, Gen: cd.vio.gen}
+			stats := cd.stats
+			res = &DetectResult{Violations: slices.Clone(cd.vio.list), Residual: &stats, Workers: calls, Gen: cd.vio.gen}
 		}
 		cd.mu.RUnlock()
 		if res != nil {
 			return res, nil
 		}
 	}
-	res, err := c.merge(name, set, offsets, results, calls, failed, true)
+	res, err := c.merge(cd.name, set, offsets, results, calls, failed, true)
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +583,7 @@ func (c *Coordinator) Detect(name string) (*DetectResult, error) {
 	if cd.version == ver && !res.Degraded {
 		// Cache a copy: the returned slice is caller-owned.
 		if cd.vio.store(slices.Clone(res.Violations)) {
-			cd.stats = res.Stats
+			cd.stats = *res.Residual
 		}
 		res.Gen = cd.vio.gen
 		cd.merged.version, cd.merged.set, cd.merged.replies = ver, set, results
@@ -782,7 +682,7 @@ func (c *Coordinator) merge(name string, set *cfd.Set, offsets []int, results []
 	if err != nil {
 		return nil, err
 	}
-	res := &DetectResult{Violations: vios, Stats: stats, Workers: calls}
+	res := &DetectResult{Violations: vios, Residual: &stats, Workers: calls}
 	if len(failed) > 0 {
 		res.Degraded = true
 		ws := make([]int, 0, len(failed))
@@ -803,48 +703,44 @@ func (c *Coordinator) merge(name string, set *cfd.Set, offsets []int, results []
 
 // Violations returns the cached violation list — the shared slice,
 // read-only, with its generation — re-detecting if stale.
-func (c *Coordinator) Violations(name string) (*DetectResult, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+func (cd *ClusterDataset) Violations() (*DetectResult, error) {
 	cd.mu.RLock()
 	vio, stats := cd.vio, cd.stats
 	cd.mu.RUnlock()
 	if vio.valid {
-		return &DetectResult{Violations: vio.list, Stats: stats, Gen: vio.gen}, nil
+		return &DetectResult{Violations: vio.list, Residual: &stats, Gen: vio.gen}, nil
 	}
-	return c.Detect(name)
+	return cd.Detect()
 }
 
-// Append routes new tuples (raw positional fields) to the tail worker —
-// the owner of the growing end of the TID space — and invalidates the
-// violation cache. Shard-local incremental repair runs on that worker;
-// cross-shard effects of the repaired delta surface at the next
-// distributed detect.
-func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return 0, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
+// AppendRows routes new tuples (raw positional fields) to the tail
+// worker — the owner of the growing end of the TID space — and
+// invalidates the violation cache. The worker parses and repairs the
+// delta locally (its 4xx relays); cross-shard effects of the repaired
+// delta surface at the next distributed detect.
+func (cd *ClusterDataset) AppendRows(tuples [][]string) (*AppendResult, error) {
+	if err := checkArity(cd.schema, tuples); err != nil {
+		return nil, err
 	}
+	c, name := cd.c, cd.name
 	last := len(c.clients) - 1
 	cd.wm.Lock()
 	defer cd.wm.Unlock()
 	if cd.dropped {
-		return 0, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
+		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
 	}
 	start := time.Now()
 	n, err := c.clients[last].Append(name, tuples)
 	c.recordWorker(c.clients[last].URL(), time.Since(start), err)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var jerr error
-	if j := c.getJournal(); j != nil {
+	if cd.journal != nil {
 		// Journal the RAW fields: the tail worker repairs the delta
 		// locally, so replay re-feeds the same raw rows through the same
 		// worker-side append path.
-		jerr = j.LogAppendRaw(name, tuples)
+		jerr = cd.journal.LogAppendRaw(name, tuples)
 	}
 	// The worker already applied the rows, so the counts must advance
 	// even when journaling fails — stale counts would corrupt every
@@ -857,9 +753,9 @@ func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
 	cd.version++
 	cd.mu.Unlock()
 	if jerr != nil {
-		return 0, notDurable(fmt.Sprintf("append to %q", name), jerr)
+		return nil, notDurable(fmt.Sprintf("append to %q", name), jerr)
 	}
-	return n, nil
+	return &AppendResult{Appended: n}, nil
 }
 
 // Discover fans discovery out to the workers, keeps the candidates
@@ -868,15 +764,12 @@ func (c *Coordinator) Append(name string, tuples [][]string) (int, error) {
 // superset of the global result modulo per-shard min-support skew),
 // then verifies each candidate with a distributed detect: candidates
 // with zero global violations hold. install replaces the installed set
-// cluster-wide with the verified survivors.
-func (c *Coordinator) Discover(name string, minSupport, maxLHS int, install bool) ([]string, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+// cluster-wide with the verified survivors. Finding nothing is nil.
+func (cd *ClusterDataset) Discover(opts discovery.Options, install bool) ([]*cfd.CFD, error) {
+	c, name := cd.c, cd.name
 	found := make([][]string, len(c.clients))
 	if _, err := c.fanOut(func(w int, cl ShardClient) error {
-		fs, err := cl.Discover(name, minSupport, maxLHS)
+		fs, err := cl.Discover(name, opts.MinSupport, opts.MaxLHS)
 		found[w] = fs
 		return err
 	}); err != nil {
@@ -922,18 +815,16 @@ func (c *Coordinator) Discover(name string, minSupport, maxLHS int, install bool
 	for _, v := range res.Violations {
 		violated[v.CFD] = true
 	}
-	var holds []string
+	var holds []*cfd.CFD
+	keep := ""
 	for _, cc := range candSet.All() {
 		if !violated[cc] {
-			holds = append(holds, cc.String())
+			holds = append(holds, cc)
+			keep += cc.String() + "\n"
 		}
 	}
 	if install && len(holds) > 0 {
-		keep := ""
-		for _, h := range holds {
-			keep += h + "\n"
-		}
-		if _, err := c.InstallConstraints(name, keep); err != nil {
+		if _, err := cd.InstallConstraints(keep); err != nil {
 			return nil, err
 		}
 	}
@@ -946,17 +837,14 @@ func (c *Coordinator) Discover(name string, minSupport, maxLHS int, install bool
 // its inputs (dcMerge) and given again — no boundary round, no pair
 // replay — while the DC set, limit and offsets are the same and every
 // worker hands back the very reply it was computed from.
-func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeStats, error) {
-	cd, ok := c.Get(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
-	}
+func (cd *ClusterDataset) DetectDCs(limit int) (*DCResult, error) {
+	c, name := cd.c, cd.name
 	cd.mu.RLock()
 	set, offsets, ver := cd.dcs, cd.offsets(), cd.version
 	cd.mu.RUnlock()
 	all := set.All()
 	if len(all) == 0 {
-		return []DCReport{}, nil, nil
+		return &DCResult{Reports: []DCReport{}, Residual: []dc.MergeStats{}}, nil
 	}
 	shardRes := make([]map[string]dc.ShardResult, len(c.clients))
 	if _, err := c.fanOut(func(w int, cl ShardClient) error {
@@ -964,13 +852,13 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 		shardRes[w] = m
 		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cd.mu.RLock()
 	m := cd.dcMemo
 	cd.mu.RUnlock()
 	if m != nil && m.set == set && m.limit == limit && slices.Equal(m.offsets, offsets) && sameDCReplies(m.replies, shardRes) {
-		return cloneReports(m.reports), slices.Clone(m.stats), nil
+		return &DCResult{Reports: cloneReports(m.reports), Residual: slices.Clone(m.stats)}, nil
 	}
 	reports := make([]DCReport, 0, len(all))
 	allStats := make([]dc.MergeStats, 0, len(all))
@@ -1005,7 +893,7 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 		}
 		vios, stats, err := dc.MergeShards(d, offsets, perShard, fetch, limit)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		reports = append(reports, DCReport{
 			Name:       d.Name(),
@@ -1021,7 +909,7 @@ func (c *Coordinator) DetectDCs(name string, limit int) ([]DCReport, []dc.MergeS
 		cd.dcMemo = &dcMerge{set: set, limit: limit, offsets: offsets, replies: shardRes, reports: cloneReports(reports), stats: slices.Clone(allStats)}
 	}
 	cd.mu.Unlock()
-	return reports, allStats, nil
+	return &DCResult{Reports: reports, Residual: allStats}, nil
 }
 
 // cloneReports copies reports down to their violation lists, which the

@@ -106,7 +106,8 @@ func TestCoordinatorReusesMergeWhileNothingMoved(t *testing.T) {
 	for _, kv := range [][2]string{{"a", "x"}, {"b", "y"}, {"a", "q"}, {"c", "z"}} {
 		data.MustInsert(relation.Tuple{relation.String(kv[0]), relation.String(kv[1])})
 	}
-	if _, err := coord.Register("kv", data); err != nil {
+	cd, err := coord.Register("kv", data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.InstallConstraints("kv", "kv([K] -> [V])"); err != nil {
@@ -119,7 +120,7 @@ func TestCoordinatorReusesMergeWhileNothingMoved(t *testing.T) {
 	rounds := func() int { return int(shards[0].rounds.Load()) }
 	detect := func(wantRounds int) *DetectResult {
 		t.Helper()
-		res, err := coord.Detect("kv")
+		res, err := cd.Detect()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +133,11 @@ func TestCoordinatorReusesMergeWhileNothingMoved(t *testing.T) {
 		return res
 	}
 	first := detect(1)
-	if again := detect(1); again.Gen != first.Gen || again.Stats != first.Stats {
-		t.Fatalf("reused answer: gen %d stats %v, merged %d %v", again.Gen, again.Stats, first.Gen, first.Stats)
+	if again := detect(1); again.Gen != first.Gen || *again.Residual != *first.Residual {
+		t.Fatalf("reused answer: gen %d stats %v, merged %d %v", again.Gen, *again.Residual, first.Gen, *first.Residual)
 	}
-	if n, err := coord.Append("kv", [][]string{{"d", "w"}}); err != nil || n != 1 {
-		t.Fatalf("append: %d %v", n, err)
+	if res, err := cd.AppendRows([][]string{{"d", "w"}}); err != nil || res.Appended != 1 {
+		t.Fatalf("append: %v %v", res, err)
 	}
 	detect(2) // the version moved: merge again, though no reply did
 	detect(2)
@@ -147,10 +148,11 @@ func TestCoordinatorReusesMergeWhileNothingMoved(t *testing.T) {
 
 	detectDCs := func(limit, wantRounds int) {
 		t.Helper()
-		reports, _, err := coord.DetectDCs("kv", limit)
+		res, err := cd.DetectDCs(limit)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reports := res.Reports
 		want := []dc.Violation{{T: 0, U: 2}, {T: 2, U: 0}}
 		if limit > 0 {
 			want = want[:limit]

@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"semandaq/internal/dc"
-	"semandaq/internal/relation"
 )
 
 // This file is the engine-level face of the denial-constraint subsystem
 // (internal/dc): sessions carry a DC registry next to their CFD set,
 // detection runs against the SAME per-session PLI cache CFD detection
 // and discovery share (a DC's equality-join partition is often exactly
-// a partition discovery already built), and the engine caches compiled
-// DC sets by (schema, text) like it caches CFD sets.
+// a partition discovery already built), and the engine's compiler
+// caches compiled DC sets by (schema, text) like it caches CFD sets.
 
 // DCs returns the session's installed denial-constraint set. Sets are
 // immutable once installed; SetDCs swaps the whole set.
@@ -20,6 +19,18 @@ func (s *Session) DCs() *dc.Set {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.dcs
+}
+
+// InstallDCs compiles DC text and installs it (SetDCs).
+func (s *Session) InstallDCs(text string) (*dc.Set, error) {
+	set, err := s.sets.CompileDCs(s.Schema(), text)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.SetDCs(set); err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // SetDCs replaces the session's denial-constraint set (schema-checked).
@@ -64,15 +75,12 @@ type DCReport struct {
 // violation list. Like Detect, it holds the read lock across the
 // computation, so concurrent CFD detection, discovery and appends
 // interleave safely.
-func (s *Session) DetectDCs(limit int) []DCReport {
+func (s *Session) DetectDCs(limit int) (*DCResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.detectDCsLocked(s.dcs.All(), limit)
-}
-
-func (s *Session) detectDCsLocked(dcs []*dc.DC, limit int) []DCReport {
-	out := make([]DCReport, 0, len(dcs))
-	for _, d := range dcs {
+	all := s.dcs.All()
+	out := make([]DCReport, 0, len(all))
+	for _, d := range all {
 		vios := dc.Detect(s.data, d, dc.Options{Cache: s.indexes, MaxViolations: limit})
 		out = append(out, DCReport{
 			Name:       d.Name(),
@@ -81,7 +89,7 @@ func (s *Session) detectDCsLocked(dcs []*dc.DC, limit int) []DCReport {
 			Truncated:  limit > 0 && len(vios) == limit,
 		})
 	}
-	return out
+	return &DCResult{Reports: out}, nil
 }
 
 // RelaxDC proposes relaxation repairs for one installed DC: the ranked
@@ -103,29 +111,4 @@ func (s *Session) RelaxDC(name string, limit int) ([]dc.Weakening, []dc.Violatio
 		weaks = weaks[:limit]
 	}
 	return weaks, vios, nil
-}
-
-// CompileDCs parses denial-constraint text against a schema, caching
-// the compiled set keyed by (schema, text) exactly like
-// CompileConstraints does for CFD sets. Compiled DC sets are shared
-// across sessions and never mutated after installation.
-func (e *Engine) CompileDCs(schema *relation.Schema, text string) (*dc.Set, error) {
-	return compileCached(e, e.dcCache, schema, text, dc.ParseSet)
-}
-
-// InstallDCs compiles DC text and installs the set on the named
-// dataset in one step — the service path for POST /v1/dcs.
-func (e *Engine) InstallDCs(dataset, text string) (*dc.Set, error) {
-	s, ok := e.Get(dataset)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, dataset)
-	}
-	set, err := e.CompileDCs(s.Schema(), text)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetDCs(set); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

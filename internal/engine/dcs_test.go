@@ -35,7 +35,7 @@ func TestSessionDCLifecycle(t *testing.T) {
 	}
 
 	sess, _ := eng.Get("emp")
-	reports := sess.DetectDCs(0)
+	reports := reportsOf(sess.DetectDCs(0))
 	if len(reports) != 1 || reports[0].Name != "pay" {
 		t.Fatalf("reports = %+v", reports)
 	}
@@ -49,7 +49,7 @@ func TestSessionDCLifecycle(t *testing.T) {
 	if len(vios) != len(want) {
 		t.Fatalf("session detection found %d violations, naive %d", len(vios), len(want))
 	}
-	if lim := sess.DetectDCs(3); len(lim[0].Violations) != 3 || !lim[0].Truncated {
+	if lim := reportsOf(sess.DetectDCs(3)); len(lim[0].Violations) != 3 || !lim[0].Truncated {
 		t.Fatalf("limit=3 gave %+v", lim[0])
 	}
 
@@ -125,7 +125,7 @@ func TestConcurrentDCDetectAppendDiscover(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				for _, rep := range s.DetectDCs(0) {
+				for _, rep := range reportsOf(s.DetectDCs(0)) {
 					if len(rep.Violations) != 0 {
 						errCh <- errFromViolations(rep.Name, len(rep.Violations))
 						return
@@ -154,7 +154,7 @@ func TestConcurrentDCDetectAppendDiscover(t *testing.T) {
 		t.Fatalf("session length = %d after concurrent appends", s.Len())
 	}
 	// The final state must still be clean and byte-identical to naive.
-	for _, rep := range s.DetectDCs(0) {
+	for _, rep := range reportsOf(s.DetectDCs(0)) {
 		if len(rep.Violations) != 0 {
 			t.Fatalf("%s: %d violations after clean concurrent appends", rep.Name, len(rep.Violations))
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"semandaq/internal/relation"
@@ -40,21 +41,31 @@ type RegistryWriter interface {
 	WriteRegistry(data []byte) error
 }
 
-// SetJournal attaches (or detaches, with nil) the durability journal.
-// Attach AFTER recovery has replayed the log — a journaling replay
-// would re-log every record — and before the engine serves traffic.
-func (e *Engine) SetJournal(j Journal) {
-	e.mu.Lock()
-	e.journal = j
-	sessions := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
+func (s *Session) setJournal(j Journal) {
+	s.mu.Lock()
+	s.journal = j
+	s.mu.Unlock()
+}
+
+// retire journals the drop under the session's write lock (see
+// member.retire).
+func (s *Session) retire() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dropped || s.journal != nil && s.journal.LogDrop(s.name) != nil {
+		return false
 	}
-	e.mu.Unlock()
-	for _, s := range sessions {
-		s.mu.Lock()
-		s.journal = j
-		s.mu.Unlock()
+	s.dropped = true
+	return true
+}
+
+// release unlinks the session's spill directory, which on Linux leaves
+// already-mapped segment files readable until their last reference
+// drops (a straggler page-in of an unlinked file just falls back to a
+// rebuild).
+func (s *Session) release() {
+	if dir := s.SpillDir(); dir != "" {
+		os.RemoveAll(dir)
 	}
 }
 
@@ -109,64 +120,35 @@ func (e *Engine) ApplyRegister(name string, schema *relation.Schema, rows []rela
 // post-repair final values, so this is raw insertion — no detection,
 // no repair.
 func (e *Engine) ApplyAppend(name string, rows []relation.Tuple) error {
-	s, ok := e.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
+	s, err := e.lookup(name)
+	if err != nil {
+		return err
 	}
 	return s.replayAppend(rows)
 }
 
 // ApplyCells replays a repair commit or edit.
 func (e *Engine) ApplyCells(name string, cells []wal.CellWrite, confirm bool) error {
-	s, ok := e.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
+	s, err := e.lookup(name)
+	if err != nil {
+		return err
 	}
 	return s.replayCells(cells, confirm)
 }
 
 // ApplyConfirm replays a cell confirmation.
 func (e *Engine) ApplyConfirm(name string, tid, attr int) error {
-	s, ok := e.Get(name)
-	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownDataset, name)
+	s, err := e.lookup(name)
+	if err != nil {
+		return err
 	}
 	return s.Confirm(tid, attr)
-}
-
-// ApplyConstraints replays a constraint installation from canonical
-// CFD text.
-func (e *Engine) ApplyConstraints(name, text string) error {
-	_, err := e.InstallConstraints(name, text)
-	return err
-}
-
-// ApplyDCs replays a denial-constraint installation.
-func (e *Engine) ApplyDCs(name, text string) error {
-	_, err := e.InstallDCs(name, text)
-	return err
-}
-
-// ApplyDrop replays a dataset drop. Tolerant of a missing dataset:
-// racing Drop calls can journal the same drop twice.
-func (e *Engine) ApplyDrop(name string) error {
-	e.Drop(name)
-	return nil
 }
 
 // ApplyAppendRaw never occurs in a single-process log (raw appends are
 // the coordinator's record form).
 func (e *Engine) ApplyAppendRaw(name string, rows [][]string) error {
 	return fmt.Errorf("engine: unexpected raw-append record for %q in engine log", name)
-}
-
-// DatasetArity resolves the schema arity replay needs to decode rows.
-func (e *Engine) DatasetArity(name string) (int, bool) {
-	s, ok := e.Get(name)
-	if !ok {
-		return 0, false
-	}
-	return s.Schema().Arity(), true
 }
 
 // replayAppend inserts recovered rows exactly as logged.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
 	"semandaq/internal/cfd"
@@ -62,35 +61,24 @@ type Options struct {
 	SpillDir string
 }
 
-// Engine is the dataset registry: named sessions behind an RWMutex so
-// lookups from concurrent requests never contend with each other, plus
-// a cache of compiled constraint sets so re-installing the same
-// constraint text (e.g. every dataset of a fleet sharing one rule file)
-// reuses the parsed cfd.Set instead of recompiling per dataset.
+// Engine is the registry of a process's sessions, plus a cache of
+// compiled constraint sets so re-installing the same constraint text
+// (e.g. every dataset of a fleet sharing one rule file) reuses the
+// parsed cfd.Set instead of recompiling per dataset.
 type Engine struct {
-	mu          sync.RWMutex
-	sessions    map[string]*Session
-	reserved    map[string]bool // names mid-registration (journal write in flight)
-	setCache    map[string]*cfd.Set
-	dcCache     map[string]*dc.Set
+	registry[*Session]
+	*compiler
 	workers     int
 	shards      int
 	indexBudget int64
 	spillDir    string
-
-	// journal, when attached (SetJournal), makes every mutation durable
-	// before it is acked; nil runs the engine in the historical
-	// memory-only mode. See durable.go.
-	journal Journal
 }
 
 // New creates an empty engine.
 func New(opts Options) *Engine {
 	return &Engine{
-		sessions:    map[string]*Session{},
-		reserved:    map[string]bool{},
-		setCache:    map[string]*cfd.Set{},
-		dcCache:     map[string]*dc.Set{},
+		registry:    newRegistry[*Session](),
+		compiler:    newCompiler(),
 		workers:     opts.Workers,
 		shards:      opts.Shards,
 		indexBudget: opts.IndexBudgetBytes,
@@ -102,22 +90,32 @@ func New(opts Options) *Engine {
 // with an empty constraint set. Names are unique; registering an
 // existing name fails (Drop it first).
 func (e *Engine) Register(name string, data *relation.Relation) (*Session, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: dataset name must be non-empty")
-	}
+	return e.register(name, data.Schema(), data.Tuples(), func(j Journal) (*Session, error) {
+		return e.open(name, data, j)
+	})
+}
+
+// Add is Register behind the Registry interface.
+func (e *Engine) Add(name string, data *relation.Relation) (Dataset, error) {
+	return added(e.Register(name, data))
+}
+
+// open builds the session Register publishes, with the engine's
+// settings and, under a spill dir, a private directory so Drop can
+// remove its segment files wholesale (MkdirTemp keeps re-registrations
+// of a reused name from colliding with files still mapped by in-flight
+// requests on the dropped session).
+func (e *Engine) open(name string, data *relation.Relation, j Journal) (*Session, error) {
 	s, err := NewSession(name, data, nil, e.workers)
 	if err != nil {
 		return nil, err
 	}
+	s.sets, s.journal = e.compiler, j
 	s.SetShards(e.shards)
 	if e.indexBudget > 0 {
 		s.SetIndexBudget(e.indexBudget)
 	}
 	if e.spillDir != "" {
-		// Each dataset gets a private directory so Drop can remove its
-		// segment files wholesale; MkdirTemp keeps re-registrations of a
-		// reused name from colliding with files still mapped by in-flight
-		// requests on the dropped session.
 		if err := os.MkdirAll(e.spillDir, 0o755); err != nil {
 			return nil, fmt.Errorf("engine: spill dir: %w", err)
 		}
@@ -127,124 +125,45 @@ func (e *Engine) Register(name string, data *relation.Relation) (*Session, error
 		}
 		store, err := relation.NewSpillStore(dir)
 		if err != nil {
+			os.RemoveAll(dir)
 			return nil, fmt.Errorf("engine: spill dir: %w", err)
 		}
 		s.SetSpill(store)
 	}
-	// Reserve the name, journal the registration, then publish. The
-	// journal write happens BEFORE the session is reachable, so no other
-	// record for this dataset can precede its register record in the
-	// log, and it happens outside e.mu so a slow fsync never blocks
-	// lookups of other datasets.
-	e.mu.Lock()
-	if _, dup := e.sessions[name]; dup || e.reserved[name] {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: dataset %q: %w", name, ErrDuplicate)
-	}
-	e.reserved[name] = true
-	journal := e.journal
-	e.mu.Unlock()
-	if journal != nil {
-		if err := journal.LogRegister(name, s.data.Schema(), s.data.Tuples()); err != nil {
-			e.mu.Lock()
-			delete(e.reserved, name)
-			e.mu.Unlock()
-			return nil, notDurable(fmt.Sprintf("register of %q", name), err)
-		}
-	}
-	s.journal = journal
-	e.mu.Lock()
-	delete(e.reserved, name)
-	e.sessions[name] = s
-	e.mu.Unlock()
 	return s, nil
 }
 
-// Get returns the named session.
-func (e *Engine) Get(name string) (*Session, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s, ok := e.sessions[name]
-	return s, ok
+// compiler caches compiled constraint sets keyed by (schema, text).
+// Compiled sets are shared across sessions and must therefore never be
+// mutated after installation — SetConstraints swaps whole sets,
+// preserving that.
+type compiler struct {
+	mu   sync.RWMutex
+	cfds map[string]*cfd.Set
+	dcs  map[string]*dc.Set
 }
 
-// Drop removes the named session from the registry and reports whether
-// it existed. In-flight requests holding the session finish normally —
-// the session's spill directory is unlinked here, which on Linux leaves
-// already-mapped segment files readable until their last reference
-// drops (a straggler page-in of an unlinked file just falls back to a
-// rebuild).
-func (e *Engine) Drop(name string) bool {
-	e.mu.RLock()
-	journal := e.journal
-	s, exists := e.sessions[name]
-	e.mu.RUnlock()
-	if !exists {
-		return false
-	}
-	// Journal under the session's write lock — the same exclusion every
-	// other mutation journals under — so no append/edit/constraint record
-	// for this dataset can land after its drop record in the WAL (replay
-	// applies records in log order and would hit an unknown dataset). The
-	// dropped flag makes stale handles acquired before the drop refuse
-	// further mutations instead of journaling them post-drop.
-	s.mu.Lock()
-	if s.dropped {
-		s.mu.Unlock()
-		return false
-	}
-	if journal != nil {
-		// Journal-first: a drop that isn't durable must not be acked, or
-		// recovery would resurrect the dataset. A journal failure leaves
-		// the dataset in place and reports "not dropped".
-		if err := journal.LogDrop(name); err != nil {
-			s.mu.Unlock()
-			return false
-		}
-	}
-	s.dropped = true
-	s.mu.Unlock()
-	e.mu.Lock()
-	// Only unpublish OUR session: a not-dropped session can't have been
-	// replaced (names are freed only by Drop), but guard anyway.
-	if cur, ok := e.sessions[name]; ok && cur == s {
-		delete(e.sessions, name)
-	}
-	e.mu.Unlock()
-	if dir := s.SpillDir(); dir != "" {
-		os.RemoveAll(dir)
-	}
-	return true
+func newCompiler() *compiler {
+	return &compiler{cfds: map[string]*cfd.Set{}, dcs: map[string]*dc.Set{}}
 }
 
-// List returns the registered dataset names, sorted.
-func (e *Engine) List() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.sessions))
-	for name := range e.sessions {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+// CompileConstraints parses constraint text against a schema through
+// the cache.
+func (c *compiler) CompileConstraints(schema *relation.Schema, text string) (*cfd.Set, error) {
+	return compileCached(c, c.cfds, schema, text, cfd.ParseSet)
 }
 
-// CompileConstraints parses constraint text against a schema, caching
-// the compiled set keyed by (schema, text). Compiled sets are shared
-// across sessions and must therefore never be mutated after
-// installation — SetConstraints swaps whole sets, preserving that.
-func (e *Engine) CompileConstraints(schema *relation.Schema, text string) (*cfd.Set, error) {
-	return compileCached(e, e.setCache, schema, text, cfd.ParseSet)
+// CompileDCs is CompileConstraints for denial-constraint text.
+func (c *compiler) CompileDCs(schema *relation.Schema, text string) (*dc.Set, error) {
+	return compileCached(c, c.dcs, schema, text, dc.ParseSet)
 }
 
-// compileCached is the (schema, text)-keyed compile cache behind
-// CompileConstraints and CompileDCs.
-func compileCached[S any](e *Engine, cache map[string]*S, schema *relation.Schema, text string,
+func compileCached[S any](c *compiler, cache map[string]*S, schema *relation.Schema, text string,
 	parse func(string, *relation.Schema) (*S, error)) (*S, error) {
 	key := schema.String() + "\x00" + text
-	e.mu.RLock()
+	c.mu.RLock()
 	set, ok := cache[key]
-	e.mu.RUnlock()
+	c.mu.RUnlock()
 	if ok {
 		return set, nil
 	}
@@ -252,7 +171,7 @@ func compileCached[S any](e *Engine, cache map[string]*S, schema *relation.Schem
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
+	c.mu.Lock()
 	// Another request may have compiled the same text while we parsed;
 	// keep the first so every session shares one instance.
 	if prior, dup := cache[key]; dup {
@@ -263,23 +182,15 @@ func compileCached[S any](e *Engine, cache map[string]*S, schema *relation.Schem
 		}
 		cache[key] = set
 	}
-	e.mu.Unlock()
+	c.mu.Unlock()
 	return set, nil
 }
 
-// InstallConstraints compiles text and installs the set on the named
-// dataset in one step — the service path for POST /v1/constraints.
-func (e *Engine) InstallConstraints(dataset, text string) (*cfd.Set, error) {
-	s, ok := e.Get(dataset)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownDataset, dataset)
+// Close drops every registered dataset, removing their spill
+// directories — the graceful-shutdown path of cmd/semandaqd (a plain
+// kill orphans the per-dataset MkdirTemp spill stores).
+func (e *Engine) Close() {
+	for _, name := range e.List() {
+		e.Drop(name)
 	}
-	set, err := e.CompileConstraints(s.Schema(), text)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetConstraints(set); err != nil {
-		return nil, err
-	}
-	return set, nil
 }

@@ -27,6 +27,21 @@ func dirtyCust(t testing.TB, n int, seed int64) *relation.Relation {
 	return dirty
 }
 
+// vsOf, genOf and reportsOf unpack results the way the tests read them.
+func vsOf(res *DetectResult, err error) ([]cfd.Violation, error) {
+	vs, _, err := genOf(res, err)
+	return vs, err
+}
+
+func genOf(res *DetectResult, err error) ([]cfd.Violation, uint64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Violations, res.Gen, nil
+}
+
+func reportsOf(res *DCResult, _ error) []DCReport { return res.Reports }
+
 func newSession(t testing.TB, n int, seed int64) *Session {
 	t.Helper()
 	s, err := NewSession("test", dirtyCust(t, n, seed), datagen.CustConstraints(), 0)
@@ -132,11 +147,11 @@ func TestInstallConstraints(t *testing.T) {
 // byte-identical.
 func TestParallelDetectionDeterminism(t *testing.T) {
 	s := newSession(t, 3_000, 5)
-	par, err := s.Detect()
+	par, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := s.DetectSerial()
+	ser, err := cfd.NewDetector(s.Constraints()).Detect(s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +168,11 @@ func TestParallelDetectionDeterminism(t *testing.T) {
 
 func TestViolationsCache(t *testing.T) {
 	s := newSession(t, 500, 7)
-	vs, err := s.Violations()
+	vs, err := vsOf(s.Violations())
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Violations()
+	again, err := vsOf(s.Violations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +188,7 @@ func TestViolationsCache(t *testing.T) {
 	if err := s.SetConstraints(sub); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Violations()
+	after, err := vsOf(s.Violations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +223,7 @@ func TestRepairAcceptCycle(t *testing.T) {
 	if err := s.Accept(); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +247,7 @@ func TestRepairAcceptAtomic(t *testing.T) {
 	if s.Candidate() != nil {
 		t.Fatal("RepairAccept should not leave a dangling candidate")
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +305,7 @@ func TestAppendIncremental(t *testing.T) {
 	if s.Len() != base.Len()+len(delta) {
 		t.Fatalf("Len = %d after append", s.Len())
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +327,7 @@ func TestSessionAppendAdvancesNotRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	warm := s.IndexStats()
@@ -333,7 +348,7 @@ func TestSessionAppendAdvancesNotRebuilds(t *testing.T) {
 		if len(res.Changes) != 0 {
 			t.Fatalf("round %d: consistent delta repaired %d cells", round, len(res.Changes))
 		}
-		vs, err := s.Detect()
+		vs, err := vsOf(s.Detect())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +369,7 @@ func TestSessionAppendAdvancesNotRebuilds(t *testing.T) {
 	}
 
 	// The advanced-partition detection result equals a cold run.
-	warmVs, err := s.Detect()
+	warmVs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +396,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := s.Violations() // primes the cache; clean data has none
+	vs, err := vsOf(s.Violations()) // primes the cache; clean data has none
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +417,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := s.IndexStats()
-		vs, err := s.Violations()
+		vs, err := vsOf(s.Violations())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +445,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.IndexStats()
-	vs, err = s.Violations()
+	vs, err = vsOf(s.Violations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +457,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 	}
 
 	// Ground truth: a from-scratch serial detection agrees.
-	direct, err := s.DetectSerial()
+	direct, err := cfd.NewDetector(s.Constraints()).Detect(s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +471,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 	if err := s.Edit(0, schema.MustIndex("STR"), relation.String("edited-street")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Violations(); err != nil {
+	if _, err := vsOf(s.Violations()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.IndexStats(); got == before {
@@ -469,7 +484,7 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 // subsequent detection exactly as before.
 func TestSessionAppendRollback(t *testing.T) {
 	s := newSession(t, 400, 15)
-	before, err := s.Detect()
+	before, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +496,7 @@ func TestSessionAppendRollback(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("failed append left %d of %d tuples", s.Len(), n)
 	}
-	after, err := s.Detect()
+	after, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +516,7 @@ func TestConcurrentAppendDetectDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -529,11 +544,11 @@ func TestConcurrentAppendDetectDiscover(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := s.Detect(); err != nil {
+				if _, err := vsOf(s.Detect()); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := s.Violations(); err != nil {
+				if _, err := vsOf(s.Violations()); err != nil {
 					errCh <- err
 					return
 				}
@@ -561,7 +576,7 @@ func TestConcurrentAppendDetectDiscover(t *testing.T) {
 	if s.Len() != base.Len()+2*rounds*20 {
 		t.Fatalf("session length = %d after concurrent appends", s.Len())
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +605,7 @@ func TestDiscoverInstall(t *testing.T) {
 		t.Fatalf("installed %d of %d discovered CFDs", s.Constraints().Len(), len(found))
 	}
 	// Discovered constraints hold on the data they were mined from.
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,11 +640,11 @@ func TestConcurrentDetectWithWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if _, err := s.Detect(); err != nil {
+				if _, err := vsOf(s.Detect()); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := s.Violations(); err != nil {
+				if _, err := vsOf(s.Violations()); err != nil {
 					errCh <- err
 					return
 				}
@@ -668,7 +683,7 @@ func TestConcurrentDetectWithWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The session must still be coherent afterwards.
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -706,7 +721,7 @@ func TestSessionIndexCacheWarm(t *testing.T) {
 	// (CC,ZIP), (CC,AC,PN), (CC,AC), (ZIP,CC).
 	const lhsSets = 4
 
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	stats := s.IndexStats()
@@ -714,7 +729,7 @@ func TestSessionIndexCacheWarm(t *testing.T) {
 		t.Fatalf("cold detection built %d indexes, want %d", stats.Misses, lhsSets)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.Detect(); err != nil {
+		if _, err := vsOf(s.Detect()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -730,7 +745,7 @@ func TestSessionIndexCacheWarm(t *testing.T) {
 	if err := s.Edit(3, schema.MustIndex("STR"), relation.String("index-cache-test-street")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.IndexStats().Misses; got != lhsSets {
@@ -742,7 +757,7 @@ func TestSessionIndexCacheWarm(t *testing.T) {
 	if err := s.Edit(3, schema.MustIndex("ZIP"), relation.String("ZZ9 9ZZ")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.IndexStats(); got.Misses != lhsSets || got.Patches != 2 {
@@ -750,7 +765,7 @@ func TestSessionIndexCacheWarm(t *testing.T) {
 	}
 
 	// The detection result through the warm cache equals a cold run.
-	warm, err := s.Detect()
+	warm, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,7 +828,7 @@ func TestSessionDiscoveryCacheWarm(t *testing.T) {
 	// set the sorted lattice walk never visited — so exactly one new
 	// partition is allowed.
 	preDetect := s.IndexStats()
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	postDetect := s.IndexStats()
@@ -827,14 +842,14 @@ func TestSessionDiscoveryCacheWarm(t *testing.T) {
 // served from the old relation's indexes.
 func TestSessionCacheAcrossAccept(t *testing.T) {
 	s := newSession(t, 300, 9)
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	before := s.IndexStats()
 	if _, err := s.RepairAccept(); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestAppendRepairDetectPatchesNotRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	warm := s.IndexStats()
@@ -81,7 +81,7 @@ func TestAppendRepairDetectPatchesNotRebuilds(t *testing.T) {
 				t.Fatalf("round %d: repair modified base tuple %d", round, ch.TID)
 			}
 		}
-		vs, err := s.Detect()
+		vs, err := vsOf(s.Detect())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestAppendRepairDetectPatchesNotRebuilds(t *testing.T) {
 	}
 
 	// The patched-partition detection result equals a cold run.
-	warmVs, err := s.Detect()
+	warmVs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := s.Detect() // primes the cache; the planted violation is in it
+	vs, err := vsOf(s.Detect()) // primes the cache; the planted violation is in it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +145,13 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	// The list's generation — what lets the server keep serving the
 	// bytes it encoded — survives appends and a detect that finds the
 	// same list again, with the very slice still shared.
-	shared, gen, err := s.SharedViolations()
+	shared, gen, err := genOf(s.Violations())
 	if err != nil || gen == 0 || !reflect.DeepEqual(shared, vs) {
-		t.Fatalf("SharedViolations: generation %d, %d violations, %v", gen, len(shared), err)
+		t.Fatalf("Violations: generation %d, %d violations, %v", gen, len(shared), err)
 	}
 	sameList := func(when string) {
 		t.Helper()
-		again, g, err := s.SharedViolations()
+		again, g, err := genOf(s.Violations())
 		if err != nil || g != gen || &again[0] != &shared[0] {
 			t.Fatalf("%s: generation %d -> %d (same slice: %v), %v", when, gen, g, &again[0] == &shared[0], err)
 		}
@@ -162,7 +162,7 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := s.IndexStats()
-		got, err := s.Violations()
+		got, err := vsOf(s.Violations())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 			t.Fatalf("round %d: Violations() re-detected after append: %+v -> %+v", round, after, now)
 		}
 		sameList("after an append")
-		if _, err := s.Detect(); err != nil {
+		if _, err := vsOf(s.Detect()); err != nil {
 			t.Fatal(err)
 		}
 		sameList("after a detect that changed nothing")
@@ -194,13 +194,13 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	if err := s.Edit(9, ct, relation.String("zzz-edited")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Violations(); err != nil {
+	if _, err := vsOf(s.Violations()); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.IndexStats(); got == before {
 		t.Fatal("Violations() after an Edit did no detection work")
 	}
-	if _, g, _ := s.SharedViolations(); g <= gen {
+	if _, g, _ := genOf(s.Violations()); g <= gen {
 		t.Fatalf("generation %d -> %d across an Edit: it must move", gen, g)
 	}
 }
@@ -219,7 +219,7 @@ func TestConcurrentDirtyAppendDetectDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,11 +243,11 @@ func TestConcurrentDirtyAppendDetectDiscover(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := s.Detect(); err != nil {
+				if _, err := vsOf(s.Detect()); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := s.Violations(); err != nil {
+				if _, err := vsOf(s.Violations()); err != nil {
 					errCh <- err
 					return
 				}
@@ -275,7 +275,7 @@ func TestConcurrentDirtyAppendDetectDiscover(t *testing.T) {
 	if s.Len() != base.Len()+2*rounds*20 {
 		t.Fatalf("session length = %d after concurrent appends", s.Len())
 	}
-	vs, err := s.Detect()
+	vs, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,19 @@
 // Package engine is the long-running core of the Semandaq service: a
-// registry of named datasets with compiled constraint sets, each wrapped
-// in a concurrency-safe Session that serves detect → repair → discover
-// to many callers at once. It is the persistent-system counterpart of
-// the one-shot pipeline in cmd/semandaq — HoloClean-style engines earn
-// interactive use by keeping data loaded and constraints compiled across
-// requests, which is exactly what the Engine's registry and the
-// Session's cached state provide. internal/server exposes it over
-// HTTP/JSON; the semandaq facade's Project is a thin single-user wrapper
-// around Session.
+// registry of named datasets with compiled constraint sets that serves
+// detect → repair → discover to many callers at once. It is the
+// persistent-system counterpart of the one-shot pipeline in
+// cmd/semandaq — HoloClean-style engines earn interactive use by keeping
+// data loaded and constraints compiled across requests.
+//
+// A dataset is a Dataset (dataset.go) of one of two kinds: a Session
+// holds it whole in this process, behind an Engine; a ClusterDataset
+// (coordinator.go) range-partitions it across worker processes, behind
+// a Coordinator that holds no tuple data and answers by scatter-gather.
+// Engine and Coordinator embed one registry (register, drop, lookup,
+// WAL replay) and both serve as a Registry, which is all
+// internal/server sees of either. Batch repair, edits and DC
+// relaxation are Session-only. The semandaq facade's Project is a thin
+// single-user wrapper around Session.
 package engine
 
 import (
@@ -62,6 +68,10 @@ type Session struct {
 
 	confirmed map[[2]int]bool
 	candidate *repair.Result
+
+	// sets compiles installed constraint text: the engine's shared cache
+	// for a registered session, a private one for a standalone session.
+	sets *compiler
 
 	// journal, when non-nil, receives every mutation before it is acked
 	// (see durable.go). Set by the engine at registration / SetJournal;
@@ -142,6 +152,7 @@ func NewSession(name string, data *relation.Relation, set *cfd.Set, workers int)
 		workers:   workers,
 		indexes:   relation.NewIndexCache(),
 		confirmed: map[[2]int]bool{},
+		sets:      newCompiler(),
 		version:   sessionVersion.Add(1),
 	}
 	s.indexes.SetShards(workers)
@@ -229,6 +240,18 @@ func (s *Session) SetConstraints(set *cfd.Set) error {
 	return nil
 }
 
+// InstallConstraints compiles text and installs it (SetConstraints).
+func (s *Session) InstallConstraints(text string) (*cfd.Set, error) {
+	set, err := s.sets.CompileConstraints(s.Schema(), text)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.SetConstraints(set); err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
 // checkOpen must be called with the write lock held before mutating
 // (and in particular before journaling): a dropped session's WAL
 // history ends at its drop record, so admitting a late mutation through
@@ -265,14 +288,17 @@ func (s *Session) Version() uint64 {
 // session's worker pool and refreshes the violation cache: the cached
 // list is replaced only when the fresh one differs from it, so a detect
 // that finds what the session already holds keeps the list's generation
-// (and whatever consumers derived from it). The returned slice is owned
+// (and whatever consumers derived from it). The returned list is owned
 // by the caller.
-func (s *Session) Detect() ([]cfd.Violation, error) {
-	vs, _, err := s.detect()
+func (s *Session) Detect() (*DetectResult, error) {
+	vs, gen, err := s.detect()
+	if err != nil {
+		return nil, err
+	}
 	// A copy: what detect returns may be the cached list, and a caller
 	// sorting or rewriting its slice must not corrupt what Violations
 	// serves to everyone else.
-	return slices.Clone(vs), err
+	return &DetectResult{Violations: slices.Clone(vs), Gen: gen}, nil
 }
 
 // detect is Detect returning the list it cached, shared and read-only,
@@ -296,15 +322,6 @@ func (s *Session) detect() ([]cfd.Violation, uint64, error) {
 	}
 	s.vio.store(vs)
 	return s.vio.list, s.vio.gen, nil
-}
-
-// DetectSerial runs single-threaded detection, bypassing the worker
-// pool and the cache. It exists so callers can cross-check the parallel
-// path (the results are identical by construction; tests assert it).
-func (s *Session) DetectSerial() ([]cfd.Violation, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return cfd.NewDetectorWithCache(s.set, s.indexes).Detect(s.data)
 }
 
 // IndexStats returns the counters of the session's PLI cache, which
@@ -358,25 +375,27 @@ func (s *Session) SpillDir() string {
 // entries contribute (almost) nothing.
 func (s *Session) IndexResidentBytes() int64 { return s.indexes.ResidentBytes() }
 
-// Violations returns a copy of the cached violation list, recomputing
-// it if the data or constraints changed since the last Detect.
-func (s *Session) Violations() ([]cfd.Violation, error) {
-	vs, _, err := s.SharedViolations()
-	return slices.Clone(vs), err
-}
-
-// SharedViolations is Violations without the copy: the cached list
-// itself, which every caller shares and none may modify, and its
-// generation (0 when the list could not be cached; see detect). Two
-// calls returning the same non-zero generation returned the same list.
-func (s *Session) SharedViolations() ([]cfd.Violation, uint64, error) {
+// Violations returns the cached violation list itself, which every
+// caller shares and none may modify, with its generation, detecting if
+// the data or constraints changed since the last Detect (generation 0
+// when the list could not be cached; see detect).
+func (s *Session) Violations() (*DetectResult, error) {
 	s.mu.RLock()
 	vio := s.vio
 	s.mu.RUnlock()
-	if vio.valid {
-		return vio.list, vio.gen, nil
+	if !vio.valid {
+		var err error
+		if vio.list, vio.gen, err = s.detect(); err != nil {
+			return nil, err
+		}
 	}
-	return s.detect()
+	return &DetectResult{Violations: vio.list, Gen: vio.gen}, nil
+}
+
+// Storage reports the session's PLI cache.
+func (s *Session) Storage() Storage {
+	stats, resident := s.IndexStats(), s.IndexResidentBytes()
+	return Storage{IndexCache: &stats, IndexResidentBytes: &resident}
 }
 
 // weights builds the repair weight function: confirmed cells are
@@ -552,10 +571,10 @@ func (s *Session) ConfirmedCells() [][2]int {
 // Unlike the one-shot repair.AppendAndRepair, nothing is cloned and the
 // relation keeps its identity: the session's PLI cache survives the
 // append, the incremental detection inside the repair absorbs the delta
-// into the cached partitions (PLI.Advance via IndexCache.GetDelta)
+// into the cached partitions (PLI.advance via IndexCache.GetDelta)
 // instead of rebuilding them, and the repair's own cell writes come
 // back as journaled patches drained into those same partitions in
-// O(group) per write (PLI.Patch via the cache's catch-up) — so even a
+// O(group) per write (PLI.patch via the cache's catch-up) — so even a
 // DIRTY append (delta cells rewritten by the repair) leaves every
 // cached index warm: the steady-state cost is "extend each partition by
 // the delta, re-home the repaired cells", not "re-partition the
@@ -622,6 +641,32 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 	return res, nil
 }
 
+// AppendRows is Append over raw fields, each parsed with its
+// attribute's kind.
+func (s *Session) AppendRows(rows [][]string) (*AppendResult, error) {
+	schema := s.Schema()
+	if err := checkArity(schema, rows); err != nil {
+		return nil, err
+	}
+	tuples := make([]relation.Tuple, len(rows))
+	for i, fields := range rows {
+		t := make(relation.Tuple, len(fields))
+		for j, f := range fields {
+			v, err := relation.ParseValue(f, schema.Attr(j).Kind)
+			if err != nil {
+				return nil, invalid{fmt.Errorf("tuple %d: %w", i, err)}
+			}
+			t[j] = v
+		}
+		tuples[i] = t
+	}
+	res, err := s.Append(tuples)
+	if err != nil {
+		return nil, err
+	}
+	return &AppendResult{Appended: len(tuples), Repair: res}, nil
+}
+
 // deltaClean re-checks only the given (just-repaired) delta tuples'
 // groups against every CFD and reports whether they are violation-free
 // — the defensive half of Append's non-empty violation-list carry-over.
@@ -659,6 +704,11 @@ func (s *Session) Discover(opts discovery.Options, install bool) ([]*cfd.CFD, er
 	if err != nil {
 		return nil, err
 	}
+	if found == nil {
+		// Non-nil, so a session that found nothing answers [], not the
+		// null of a cluster's nil.
+		found = []*cfd.CFD{}
+	}
 	if !install {
 		return found, nil
 	}
@@ -676,10 +726,11 @@ func (s *Session) Discover(opts discovery.Options, install bool) ([]*cfd.CFD, er
 
 // Summary renders a short session status report.
 func (s *Session) Summary() (string, error) {
-	vs, _, err := s.SharedViolations()
+	res, err := s.Violations()
 	if err != nil {
 		return "", err
 	}
+	vs := res.Violations
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var b strings.Builder

@@ -95,12 +95,3 @@ func (s *Session) ShardDCs() []ShardDCResult {
 	}
 	return out
 }
-
-// Close drops every registered dataset, removing their spill
-// directories — the graceful-shutdown path of cmd/semandaqd (a plain
-// kill orphans the per-dataset MkdirTemp spill stores).
-func (e *Engine) Close() {
-	for _, name := range e.List() {
-		e.Drop(name)
-	}
-}

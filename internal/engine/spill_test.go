@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,7 +59,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 	if err := s.SetConstraints(datagen.CustConstraints()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	// Budget 1 byte: every partition built during Detect is demoted as
@@ -72,7 +73,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 	}
 
 	// A second Detect must page demoted partitions back in, not rebuild.
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 	st2 := s.IndexStats()
@@ -84,7 +85,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 	}
 
 	// Detection over paged-in partitions must still agree with a cold pass.
-	got, err := s.Detect()
+	got, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,50 @@ func TestEngineSpillLifecycle(t *testing.T) {
 	}
 	if _, err := os.Stat(dsDir); !os.IsNotExist(err) {
 		t.Fatalf("spill dir survives Drop: %v", err)
+	}
+}
+
+// refusingJournal fails every registration it is asked to record.
+type refusingJournal struct{ Journal }
+
+func (refusingJournal) LogRegister(string, *relation.Schema, []relation.Tuple) error {
+	return os.ErrPermission
+}
+
+// TestRefusedRegisterLeavesNoSpillDir: a register the engine refuses —
+// a duplicate name, or one the journal cannot record — leaves no ds-*
+// directory behind, only the registered dataset's.
+func TestRefusedRegisterLeavesNoSpillDir(t *testing.T) {
+	root := t.TempDir()
+	e := New(Options{SpillDir: root})
+	dirs := func() int {
+		t.Helper()
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	if _, err := e.Register("a", datagen.Cust(50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Register("a", datagen.Cust(50, 1)); err == nil {
+			t.Fatal("duplicate register accepted")
+		}
+	}
+	if n := dirs(); n != 1 {
+		t.Fatalf("%d entries under the spill dir after three duplicate registers, want 1", n)
+	}
+	e.SetJournal(refusingJournal{})
+	if _, err := e.Register("b", datagen.Cust(50, 1)); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("register with a refusing journal: %v, want ErrNotDurable", err)
+	}
+	if n := dirs(); n != 1 {
+		t.Fatalf("%d entries under the spill dir after a refused journal write, want 1", n)
+	}
+	if _, ok := e.Get("b"); ok {
+		t.Fatal("a register the journal refused is published")
 	}
 }
 
@@ -129,7 +174,7 @@ func TestConcurrentSpillDemoteDirtyAppend(t *testing.T) {
 	// discovery lattice) cannot stay resident, so demotions and page-ins
 	// interleave with the append/patch traffic.
 	s.SetIndexBudget(64 << 10)
-	if _, err := s.Detect(); err != nil {
+	if _, err := vsOf(s.Detect()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,11 +198,11 @@ func TestConcurrentSpillDemoteDirtyAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := s.Detect(); err != nil {
+				if _, err := vsOf(s.Detect()); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := s.Violations(); err != nil {
+				if _, err := vsOf(s.Violations()); err != nil {
 					errCh <- err
 					return
 				}
@@ -183,7 +228,7 @@ func TestConcurrentSpillDemoteDirtyAppend(t *testing.T) {
 	if s.Len() != base.Len()+2*rounds*20 {
 		t.Fatalf("session length = %d after concurrent appends", s.Len())
 	}
-	got, err := s.Detect()
+	got, err := vsOf(s.Detect())
 	if err != nil {
 		t.Fatal(err)
 	}

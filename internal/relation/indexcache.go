@@ -20,7 +20,7 @@ type CacheStats struct {
 	// scratch.
 	Refines uint64 `json:"refines"`
 	// Advances counts lookups answered by absorbing appended rows into
-	// the cached PLI in place (PLI.Advance) instead of rebuilding it —
+	// the cached PLI in place (PLI.advance) instead of rebuilding it —
 	// the steady-state append→detect path builds nothing, so
 	// Misses+Refines stay constant while Advances grows.
 	Advances uint64 `json:"advances"`
@@ -71,7 +71,7 @@ type cacheEntry struct {
 // journal into the PLIs mentioning the edited column (each patched TID
 // re-homed in the entry's overlay — see PLI.catchUp; only journal
 // overflow, reorders and truncation still invalidate), appends are
-// absorbed into the overlay (PLI.Advance — no rebuild at all), and
+// absorbed into the overlay (PLI.advance — no rebuild at all), and
 // relation swaps invalidate everything. A large pending patch set falls back to a
 // rebuild when that is cheaper, under the same byte budget as any
 // other store.
@@ -314,7 +314,7 @@ func (c *IndexCache) replaceEntry(key string, old, compacted *PLI) {
 }
 
 // enforceBudget applies the byte budget outside store — the steady-state
-// append path grows entries in place (PLI.Advance) without ever storing,
+// append path grows entries in place (PLI.advance) without ever storing,
 // and must not outgrow a configured cap. The advanced entry's size is
 // re-measured and folded into the running resident total, so the call is
 // O(1) unless an eviction is actually due. No-op (and lock-free) without
@@ -335,7 +335,7 @@ func (c *IndexCache) enforceBudget(keepKey string) {
 
 // GetVia returns a PLI of r over attrs like Get, but answers a miss by
 // refining the cached PLI over attrs[:len-1] with the last attribute
-// (PLI.Intersect) when that parent is present and reachable — one
+// (PLI.intersect) when that parent is present and reachable — one
 // counting sort instead of len(attrs). The parent itself is caught up
 // (advanced and compacted) first if it is stale only by appends.
 // Level-wise lattice walks (TANE-style discovery) visit attribute sets
@@ -394,7 +394,7 @@ func (c *IndexCache) store(r *Relation, key string, p *PLI) {
 		}
 		c.rel = r
 	}
-	if prior := c.entries[key]; prior == nil || !prior.pli.Fresh(r) {
+	if prior := c.entries[key]; prior == nil || !prior.pli.fresh(r) {
 		e := &cacheEntry{pli: p, bytes: p.MemSize()}
 		e.lastUse.Store(tick)
 		if prior != nil {

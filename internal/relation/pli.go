@@ -18,22 +18,22 @@ import (
 // A PLI is exactly two things. The base (pliBase) is the canonical
 // partition as BuildPLI emits it — flat, sorted, immutable, on the heap
 // or mapped from a segment file. The overlay is everything that happened
-// to the relation since the base was built: rows absorbed by Advance and
-// TIDs re-homed by Patch, recorded per touched group. Reads consult
+// to the relation since the base was built: rows absorbed by advance and
+// TIDs re-homed by patch, recorded per touched group. Reads consult
 // both; merged folds them into a new base, byte-identical to a
 // from-scratch build over the current relation (property-tested), and
 // is the only way a base ever comes from another base.
 //
 // The per-column code versions, patch-journal watermarks and row count
-// say which relation state the pair describes: Fresh reports an exact
-// match, AdvanceableTo the weaker "stale only by appends".
+// say which relation state the pair describes: fresh reports an exact
+// match, advanceableTo the weaker "stale only by appends".
 type PLI struct {
 	rel       *Relation
 	attrs     []int
 	colVers   []uint64
 	patchVers []uint64 // per-attr patch-journal watermarks (Relation.PatchVersion)
 
-	// mu serializes the writers — Advance, Patch, Compact and the
+	// mu serializes the writers — advance, patch, Compact and the
 	// IndexCache's catchUp. Plain reads (Group, GroupOf, Lookup, ...)
 	// stay lock-free; they must not overlap a write to the same PLI.
 	// Writes that follow a relation mutation are covered by the session
@@ -68,7 +68,7 @@ type pliBase struct {
 	seg      *Mapping
 
 	// Composite-code key -> group map backing Lookup and the group
-	// probes of Advance and Patch. Built on first use from each group's
+	// probes of advance and patch. Built on first use from each group's
 	// first member, guarded by lookupMu so concurrent probers share one
 	// build; a merge hands it to the next base (renumbered when group
 	// indexes moved) instead of dropping it.
@@ -92,7 +92,7 @@ type overlay struct {
 	fresh   []*groupDelta
 	newKeys map[string]int32 // composite code key -> new group's index
 	home    map[int]int32    // base TID patched away from its base group -> current group
-	tail    []int32          // group of TID n+i: the rows Advance absorbed
+	tail    []int32          // group of TID n+i: the rows advance absorbed
 	size    int              // TIDs across all added and removed lists
 }
 
@@ -141,8 +141,8 @@ func BuildPLI(r *Relation, attrs []int) *PLI {
 // refineBy sub-partitions (cur, bounds) by attribute a's codes, writing
 // the refined TID order into next and returning the refined bounds: one
 // stable counting-sort level of the BuildPLI recurrence, reused verbatim
-// by Intersect. cur is never written, so callers may pass shared
-// storage (Intersect hands in the parent PLI's tids directly).
+// by intersect. cur is never written, so callers may pass shared
+// storage (intersect hands in the parent PLI's tids directly).
 func refineBy(r *Relation, a int, cur, next []int, bounds []int32) []int32 {
 	count := make([]int32, r.DistinctCodes(a))
 	newBounds := make([]int32, 1, len(bounds))
@@ -232,7 +232,7 @@ func newPLIBase(tids []int, offsets []int32, workers int) *pliBase {
 	return b
 }
 
-// Intersect returns the partition index over attrs ∪ {y} (y appended)
+// intersect returns the partition index over attrs ∪ {y} (y appended)
 // by refining this PLI's groups with one counting-sort pass over y's
 // codes — the classic TANE-style partition intersection. The result is
 // byte-identical (groups, member order, group order) to
@@ -240,12 +240,12 @@ func newPLIBase(tids []int, offsets []int32, workers int) *pliBase {
 // of len(attrs)+1. An overlay on the receiver is folded first
 // (refinement reads the canonical base).
 //
-// The receiver must still describe its relation (Fresh after the
+// The receiver must still describe its relation (fresh after the
 // fold); IndexCache.GetVia catches the parent up before refining.
 //
-// Intersect refines serially; IntersectSharded (shard.go) fans the
+// intersect refines serially; IntersectSharded (shard.go) fans the
 // refinement over a worker pool with byte-identical output.
-func (p *PLI) Intersect(y int) *PLI {
+func (p *PLI) intersect(y int) *PLI {
 	return p.IntersectSharded(y, 1)
 }
 
@@ -322,9 +322,9 @@ func (p *PLI) groupOfOverlay(tid int) int {
 	return int(p.tidGroup[tid])
 }
 
-// TailLen returns the size of the overlay: TIDs absorbed or re-homed
+// tailLen returns the size of the overlay: TIDs absorbed or re-homed
 // since the base was built and not folded into it yet.
-func (p *PLI) TailLen() int {
+func (p *PLI) tailLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ov.size
@@ -418,23 +418,23 @@ func (p *PLI) groupFor(lookup map[string]int32, key []byte) int32 {
 	return g
 }
 
-// Fresh reports whether the index still describes r: it was built from
+// fresh reports whether the index still describes r: it was built from
 // this relation, the relation has not grown, shrunk or been reordered,
 // none of the indexed columns was hard-invalidated, and every journaled
 // cell patch on the indexed columns has been applied (see catchUp). A
-// PLI over untouched columns survives edits to other columns. Fresh
+// PLI over untouched columns survives edits to other columns. Being fresh
 // does not imply canonical group order — an advanced or patched index
 // carries an overlay until Compact.
-func (p *PLI) Fresh(r *Relation) bool {
+func (p *PLI) fresh(r *Relation) bool {
 	return p.patchableTo(r) && p.rows() == r.Len() && p.patchesCurrent(r)
 }
 
-// AdvanceableTo reports whether the index describes a stale-only-by-
+// advanceableTo reports whether the index describes a stale-only-by-
 // appends snapshot of r: built from this relation, no indexed column
 // hard-invalidated and no cell patch pending (no un-drained Set on it,
 // no reorder, no Truncate) since the build, and the relation is at
 // least as long. A fresh index is trivially advanceable.
-func (p *PLI) AdvanceableTo(r *Relation) bool {
+func (p *PLI) advanceableTo(r *Relation) bool {
 	return p.patchableTo(r) && p.patchesCurrent(r)
 }
 
@@ -465,28 +465,28 @@ func (p *PLI) patchesCurrent(r *Relation) bool {
 	return true
 }
 
-// Advance absorbs the rows appended to the relation since the index was
+// advance absorbs the rows appended to the relation since the index was
 // built or last advanced: each new TID joins the overlay record of its
 // group, or opens a new group — O(delta) map probes, no counting sort,
 // no rebuild. The overlay is folded into canonical sorted-group order
 // lazily (see Compact), automatically once it outgrows an eighth of the
-// index. Advance returns false (changing nothing) when the index cannot
+// index. advance returns false (changing nothing) when the index cannot
 // reach r by appending — an indexed column was edited, the relation was
 // reordered or truncated, or it is a different relation — and true
 // otherwise, including when there is nothing to absorb.
 //
-// Advance, Patch and Compact write the index and are serialized against
+// advance, patch and Compact write the index and are serialized against
 // each other (PLI.mu), but must not overlap lock-free readers of the
 // same PLI; direct callers guarantee that by mutating the relation only
 // under an exclusive writer, as engine sessions do.
-func (p *PLI) Advance(r *Relation) bool {
+func (p *PLI) advance(r *Relation) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.advanceLocked(r)
 }
 
 func (p *PLI) advanceLocked(r *Relation) bool {
-	if !p.AdvanceableTo(r) {
+	if !p.advanceableTo(r) {
 		return false
 	}
 	from, n := p.rows(), r.Len()
@@ -515,22 +515,22 @@ func (p *PLI) advanceLocked(r *Relation) bool {
 	return true
 }
 
-// Patch applies one journaled cell patch to the index: cell (tid, attr)
+// patch applies one journaled cell patch to the index: cell (tid, attr)
 // of the underlying relation changed oldCode -> newCode (a
 // relation.CellPatch emitted by Relation.Set), and the TID is re-homed
 // to the group matching its current codes — two sorted-slice edits in
 // the overlay (a multi-attribute index recomputes the composite key
 // from the current column codes), never a rebuild. TIDs the index has
-// not absorbed yet are no-ops: the next Advance reads their post-patch
-// codes anyway. Patch advances the index's patch watermark for attr by
+// not absorbed yet are no-ops: the next advance reads their post-patch
+// codes anyway. patch advances the index's patch watermark for attr by
 // one record, so callers must apply journal records exactly once and in
 // journal order (the discipline the IndexCache's catch-up path
 // follows); attr must be one of the indexed attributes. Reports whether
 // the TID actually moved groups.
 //
-// Patch never folds the overlay: Compact ranks groups by their members'
+// patch never folds the overlay: Compact ranks groups by their members'
 // current codes, which is only sound once no record is pending.
-func (p *PLI) Patch(tid, attr int, oldCode, newCode int32) bool {
+func (p *PLI) patch(tid, attr int, oldCode, newCode int32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idx := slices.Index(p.attrs, attr)
@@ -570,7 +570,7 @@ func (p *PLI) pendingPatchTIDs(r *Relation) (tids []int, pre map[int64]int32, ok
 		}
 		for _, pc := range log {
 			if pc.TID >= n {
-				continue // not absorbed yet; Advance reads current codes
+				continue // not absorbed yet; advance reads current codes
 			}
 			if pre == nil {
 				pre = make(map[int64]int32)
@@ -589,7 +589,7 @@ func (p *PLI) pendingPatchTIDs(r *Relation) (tids []int, pre map[int64]int32, ok
 // pendingPatchTIDs: each patched TID is re-homed to the group matching
 // its current codes, and the index's patch watermarks move to the
 // journals' heads. Called with p.mu held, under the same no-live-reader
-// guarantee as Advance (a pending patch implies a Set under an
+// guarantee as advance (a pending patch implies a Set under an
 // exclusive writer since the last reader window).
 func (p *PLI) applyPatchesLocked(r *Relation, tids []int, pre map[int64]int32) {
 	lookup := p.keyMap(pre)
@@ -603,7 +603,7 @@ func (p *PLI) applyPatchesLocked(r *Relation, tids []int, pre map[int64]int32) {
 }
 
 // rehome moves one TID to the group matching its current codes —
-// exactly the group Advance would choose for a new row with these
+// exactly the group advance would choose for a new row with these
 // codes, so a fold restores canonical order. Leaving a group deletes
 // the TID from the group's added list, or records a base member in its
 // removed list; joining is the inverse, so a TID patched back home

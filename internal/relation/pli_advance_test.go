@@ -68,7 +68,7 @@ func samePLI(t *testing.T, ctx string, r *Relation, got, want *PLI) {
 }
 
 // TestAdvanceMatchesBuildPLI is the tentpole property: on randomized
-// mixed-kind relations, absorbing appended rows via Advance and then
+// mixed-kind relations, absorbing appended rows via advance and then
 // compacting yields groups, member order, group order, and tid->group
 // mapping byte-identical to counting-sorting the grown relation from
 // scratch — across several append rounds, with novel codes in the
@@ -89,13 +89,13 @@ func TestAdvanceMatchesBuildPLI(t *testing.T) {
 			for i, attrs := range attrSets {
 				ctx := fmt.Sprintf("seed %d round %d attrs %v", seed, round, attrs)
 				p := plis[i]
-				if !p.AdvanceableTo(r) {
+				if !p.advanceableTo(r) {
 					t.Fatalf("%s: append-only growth not advanceable", ctx)
 				}
-				if !p.Advance(r) {
-					t.Fatalf("%s: Advance refused", ctx)
+				if !p.advance(r) {
+					t.Fatalf("%s: advance refused", ctx)
 				}
-				if !p.Fresh(r) {
+				if !p.fresh(r) {
 					t.Fatalf("%s: advanced PLI not fresh", ctx)
 				}
 				// Tolerant reads before compaction: the partition must
@@ -126,7 +126,7 @@ func TestAdvanceMatchesBuildPLI(t *testing.T) {
 					t.Fatalf("%s: tolerant Lookup lost tuple %d", ctx, probeTID)
 				}
 				p.Compact()
-				if p.TailLen() != 0 {
+				if p.tailLen() != 0 {
 					t.Fatalf("%s: tail survives Compact", ctx)
 				}
 				samePLI(t, ctx+" (compacted vs rebuild)", r, p, BuildPLI(r, attrs))
@@ -167,18 +167,18 @@ func TestAdvanceThresholdCompacts(t *testing.T) {
 	p := BuildPLI(r, []int{0, 1})
 	rng := rand.New(rand.NewSource(17))
 	appendRandomRows(t, r, rng, 4)
-	if !p.Advance(r) {
-		t.Fatal("Advance refused")
+	if !p.advance(r) {
+		t.Fatal("advance refused")
 	}
-	if p.TailLen() == 0 {
+	if p.tailLen() == 0 {
 		t.Fatal("small delta should stay in the tail")
 	}
 	appendRandomRows(t, r, rng, 64) // 68 tail rows vs n=132: way past n/8
-	if !p.Advance(r) {
-		t.Fatal("second Advance refused")
+	if !p.advance(r) {
+		t.Fatal("second advance refused")
 	}
-	if p.TailLen() != 0 {
-		t.Fatalf("threshold did not trigger compaction (tail %d of %d)", p.TailLen(), r.Len())
+	if p.tailLen() != 0 {
+		t.Fatalf("threshold did not trigger compaction (tail %d of %d)", p.tailLen(), r.Len())
 	}
 	samePLI(t, "auto-compacted", r, p, BuildPLI(r, []int{0, 1}))
 }
@@ -192,28 +192,28 @@ func TestAdvanceRefusesMutations(t *testing.T) {
 	p := BuildPLI(r, []int{0, 1})
 
 	r.Set(2, 3, String("unrelated-column-edit"))
-	if !p.Fresh(r) || !p.AdvanceableTo(r) {
+	if !p.fresh(r) || !p.advanceableTo(r) {
 		t.Fatal("edit to unindexed column invalidated the PLI")
 	}
 
 	r.Set(2, 0, String("indexed-column-edit"))
-	if p.AdvanceableTo(r) {
+	if p.advanceableTo(r) {
 		t.Fatal("edited indexed column still advanceable")
 	}
-	if p.Advance(r) {
-		t.Fatal("Advance absorbed a code mutation")
+	if p.advance(r) {
+		t.Fatal("advance absorbed a code mutation")
 	}
 
 	p2 := BuildPLI(r, []int{0, 1})
 	r.SortBy([]int{1})
-	if p2.AdvanceableTo(r) {
+	if p2.advanceableTo(r) {
 		t.Fatal("reorder still advanceable")
 	}
 
 	p3 := BuildPLI(r, []int{0, 1})
 	r.MustInsert(Tuple{String("x"), Int(1), Float(0.5), String("y")})
 	r.Truncate(r.Len() - 1)
-	if p3.AdvanceableTo(r) {
+	if p3.advanceableTo(r) {
 		t.Fatal("truncate still advanceable")
 	}
 }
@@ -232,7 +232,7 @@ func TestGetDeltaKeepsTail(t *testing.T) {
 	if got != p {
 		t.Fatal("GetDelta rebuilt instead of advancing")
 	}
-	if got.TailLen() == 0 {
+	if got.tailLen() == 0 {
 		t.Fatal("GetDelta should leave the delta in the tail")
 	}
 	if s := cache.Stats(); s.Advances != 1 {
@@ -246,10 +246,10 @@ func TestGetDeltaKeepsTail(t *testing.T) {
 	if got2 == p {
 		t.Fatal("Get compacted a shared tailed entry in place")
 	}
-	if got2.TailLen() != 0 {
+	if got2.tailLen() != 0 {
 		t.Fatal("Get must hand out canonical (compacted) indexes")
 	}
-	if p.TailLen() == 0 {
+	if p.tailLen() == 0 {
 		t.Fatal("copy-on-write compaction mutated the tailed original")
 	}
 	if s := cache.Stats(); s.Misses != 1 || s.Advances != 1 || s.Hits != 1 {
@@ -335,7 +335,7 @@ func TestCacheCompactCopyOnWriteConcurrent(t *testing.T) {
 	wg.Wait()
 
 	got := cache.Get(r, attrs)
-	if !got.Fresh(r) || got.TailLen() != 0 {
+	if !got.fresh(r) || got.tailLen() != 0 {
 		t.Fatal("cache entry not canonical after quiescence")
 	}
 	sameFlat(t, "post-concurrency", got, BuildPLI(r, attrs))
@@ -360,7 +360,7 @@ func TestGetViaAdvancesParent(t *testing.T) {
 	if after.Advances != before.Advances+1 {
 		t.Fatalf("parent advance not counted: %+v -> %+v", before, after)
 	}
-	if !parent.Fresh(r) || parent.TailLen() != 0 {
+	if !parent.fresh(r) || parent.tailLen() != 0 {
 		t.Fatal("GetVia did not catch the parent up canonically")
 	}
 	samePLI(t, "refined-from-advanced-parent", r, child, BuildPLI(r, []int{1, 3}))
@@ -387,7 +387,7 @@ func TestCacheBudgetEviction(t *testing.T) {
 		t.Fatalf("budget keeps %d entries resident", n)
 	}
 	// The deepest surviving set must be the one just stored.
-	if !cache.Get(r, []int{0, 1, 2}).Fresh(r) {
+	if !cache.Get(r, []int{0, 1, 2}).fresh(r) {
 		t.Fatal("just-stored entry was evicted")
 	}
 	// Evicted entries rebuild on demand — correctness is unaffected.
@@ -425,7 +425,7 @@ func TestCacheBudgetBindsOnAdvance(t *testing.T) {
 	if s := cache.Stats(); s.Evictions == 0 {
 		t.Fatalf("advance-path growth escaped the budget: %+v", s)
 	}
-	if !got.Fresh(r) {
+	if !got.fresh(r) {
 		t.Fatal("advanced entry not fresh")
 	}
 }

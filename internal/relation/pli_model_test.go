@@ -103,7 +103,7 @@ func TestPLIModel(t *testing.T) {
 				}
 			case op < 13:
 				d := cache.GetDelta(r, attrs)
-				if !d.Fresh(r) {
+				if !d.fresh(r) {
 					t.Fatalf("%s: GetDelta result not fresh", ctx)
 				}
 				checkDeltaAgainst(t, ctx+" GetDelta", r, rng, d, BuildPLI(r, attrs), attrs)
@@ -145,11 +145,11 @@ func TestCompactKeepsKeyMap(t *testing.T) {
 			r.Set(rng.Intn(r.Len()), 0, String(fmt.Sprintf("zz-patched-%d", round)))
 		}
 		d := cache.GetDelta(r, attrs)
-		if d.TailLen() == 0 {
+		if d.tailLen() == 0 {
 			t.Fatalf("round %d: GetDelta left no delta to compact", round)
 		}
 		got := cache.Get(r, attrs)
-		if got.TailLen() != 0 {
+		if got.tailLen() != 0 {
 			t.Fatalf("round %d: Get handed out an uncompacted index", round)
 		}
 		got.lookupMu.Lock()

@@ -80,7 +80,7 @@ func TestPatchedCacheMatchesBuildPLI(t *testing.T) {
 					// index must still cover every TID exactly once and
 					// agree with GroupOf.
 					d := cache.GetDelta(r, attrs)
-					if !d.Fresh(r) {
+					if !d.fresh(r) {
 						t.Fatalf("%s: GetDelta result not fresh", ctx)
 					}
 					n := 0
@@ -110,7 +110,7 @@ func TestPatchedCacheMatchesBuildPLI(t *testing.T) {
 	}
 }
 
-// TestPublicPatchMatchesBuildPLI drives the record-at-a-time PLI.Patch
+// TestPublicPatchMatchesBuildPLI drives the record-at-a-time PLI.patch
 // API directly from the relation's journals (the discipline the doc
 // demands: each record once, in journal order) and asserts the patched
 // index compacts to exactly the from-scratch build — including when the
@@ -138,16 +138,16 @@ func TestPublicPatchMatchesBuildPLI(t *testing.T) {
 					t.Fatalf("seed %d attrs %v: journal trimmed unexpectedly", seed, attrs)
 				}
 				for _, pc := range log {
-					p.Patch(pc.TID, a, pc.Old, pc.New)
+					p.patch(pc.TID, a, pc.Old, pc.New)
 				}
 			}
-			if !p.Fresh(r) {
+			if !p.fresh(r) {
 				t.Fatalf("seed %d attrs %v: fully patched PLI not fresh", seed, attrs)
 			}
 			p.Compact()
 			samePLI(t, fmt.Sprintf("seed %d attrs %v", seed, attrs), r, p, BuildPLI(r, attrs))
 			// Un-journaled columns: edits to attributes the index does not
-			// mention never disturbed it (checked implicitly by Fresh
+			// mention never disturbed it (checked implicitly by fresh
 			// above, since their journals were not drained into p).
 		}
 	}
@@ -172,7 +172,7 @@ func TestPatchJournalOverflow(t *testing.T) {
 	if r.ColumnVersion(0) == vc {
 		t.Fatalf("journal overflow did not hard-invalidate the column")
 	}
-	if p0.Fresh(r) || p0.AdvanceableTo(r) {
+	if p0.fresh(r) || p0.advanceableTo(r) {
 		t.Fatalf("PLI survived a journal overflow")
 	}
 	before := cache.Stats()
@@ -185,7 +185,7 @@ func TestPatchJournalOverflow(t *testing.T) {
 	}
 	samePLI(t, "post-overflow", r, got, BuildPLI(r, []int{0}))
 	// The untouched column's index never noticed.
-	if got := cache.Get(r, []int{1}); got != p1 || !got.Fresh(r) {
+	if got := cache.Get(r, []int{1}); got != p1 || !got.fresh(r) {
 		t.Fatalf("overflow on column 0 disturbed the index over column 1")
 	}
 }
@@ -224,7 +224,7 @@ func TestTruncateDropsPatchJournal(t *testing.T) {
 	appendRandomRows(t, r, rng, 10)
 	r.Set(r.Len()-3, 0, String("0rolled-back"))
 	r.Truncate(150)
-	if p.Fresh(r) || p.AdvanceableTo(r) {
+	if p.fresh(r) || p.advanceableTo(r) {
 		t.Fatalf("PLI survived Truncate with a pending patch")
 	}
 	if _, ok := r.PatchesSince(0, 0); ok {

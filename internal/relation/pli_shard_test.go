@@ -102,7 +102,7 @@ func TestShardedBuildOneGroupColumn(t *testing.T) {
 	empty := New(schema)
 	for _, s := range shardCounts() {
 		got := BuildPLISharded(empty, []int{0, 1}, s)
-		if got.NumGroups() != 0 || !got.Fresh(empty) {
+		if got.NumGroups() != 0 || !got.fresh(empty) {
 			t.Fatalf("S=%d: empty-relation build has %d groups", s, got.NumGroups())
 		}
 	}
@@ -195,7 +195,7 @@ func TestShardedRefineGroupEmptyShards(t *testing.T) {
 
 // TestIntersectShardedMatchesSerial extends the partition-intersection
 // property to the sharded refinement: chained IntersectSharded calls
-// stay byte-identical to serial Intersect AND to from-scratch builds,
+// stay byte-identical to serial intersect AND to from-scratch builds,
 // for every shard count.
 func TestIntersectShardedMatchesSerial(t *testing.T) {
 	chains := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0}}
@@ -208,7 +208,7 @@ func TestIntersectShardedMatchesSerial(t *testing.T) {
 					p = p.IntersectSharded(chain[k-1], s)
 					want := BuildPLI(r, chain[:k])
 					sameFlat(t, fmt.Sprintf("seed %d chain %v level %d S=%d", seed, chain, k, s), p, want)
-					if !p.Fresh(r) {
+					if !p.fresh(r) {
 						t.Fatalf("seed %d chain %v level %d S=%d: sharded intersection is not fresh",
 							seed, chain, k, s)
 					}
@@ -292,7 +292,7 @@ func TestShardedCacheConcurrentBuildAppend(t *testing.T) {
 	}
 	for _, attrs := range attrSets {
 		got := cache.Get(r, attrs)
-		if !got.Fresh(r) {
+		if !got.fresh(r) {
 			t.Fatalf("attrs %v: cached entry stale after quiescence", attrs)
 		}
 		got.Compact()

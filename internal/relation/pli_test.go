@@ -143,7 +143,7 @@ func TestIntersectMatchesBuildPLI(t *testing.T) {
 		for _, chain := range chains {
 			p := BuildPLI(r, chain[:1])
 			for k := 2; k <= len(chain); k++ {
-				p = p.Intersect(chain[k-1])
+				p = p.intersect(chain[k-1])
 				want := BuildPLI(r, chain[:k])
 				samePartition(t, fmt.Sprintf("seed %d chain %v level %d", seed, chain, k), p, want)
 				for tid := 0; tid < r.Len(); tid++ {
@@ -152,7 +152,7 @@ func TestIntersectMatchesBuildPLI(t *testing.T) {
 							seed, chain, k, tid, p.GroupOf(tid), want.GroupOf(tid))
 					}
 				}
-				if !p.Fresh(r) {
+				if !p.fresh(r) {
 					t.Fatalf("seed %d chain %v level %d: intersected PLI is not fresh", seed, chain, k)
 				}
 			}
@@ -199,7 +199,7 @@ func TestPLILookupMatchesHashIndex(t *testing.T) {
 
 // TestGetViaRefinesAndValidates covers the cache-aware refinement path:
 // GetVia answers from the parent partition when it can, falls back to a
-// full build when it cannot, and everything it returns validates Fresh —
+// full build when it cannot, and everything it returns validates fresh —
 // including after edits that invalidate the parent.
 func TestGetViaRefinesAndValidates(t *testing.T) {
 	r := randomMixedRelation(t, 21, 180)
@@ -221,7 +221,7 @@ func TestGetViaRefinesAndValidates(t *testing.T) {
 		t.Fatalf("triple should refine from the cached pair: %+v", s)
 	}
 	samePartition(t, "GetVia{0,1,2}", p012, BuildPLI(r, []int{0, 1, 2}))
-	if !p012.Fresh(r) {
+	if !p012.fresh(r) {
 		t.Fatalf("GetVia result is stale on a quiescent relation")
 	}
 	if got := cache.GetVia(r, []int{0, 1, 2}); got != p012 {
@@ -238,7 +238,7 @@ func TestGetViaRefinesAndValidates(t *testing.T) {
 	// re-requesting {0,1,2} drains the patch into the cached PLI in
 	// place — no rebuild — and the patched result reflects the edit.
 	r.Set(3, 1, String("post-edit-value"))
-	if p012.Fresh(r) {
+	if p012.fresh(r) {
 		t.Fatalf("PLI over edited column claims freshness")
 	}
 	missesBefore := cache.Stats().Misses
@@ -249,8 +249,8 @@ func TestGetViaRefinesAndValidates(t *testing.T) {
 	if s := cache.Stats(); s.Misses != missesBefore || s.Patches == 0 {
 		t.Fatalf("edit should patch, not rebuild: %+v", s)
 	}
-	if !p012b.Fresh(r) {
-		t.Fatalf("post-edit GetVia result does not validate Fresh")
+	if !p012b.fresh(r) {
+		t.Fatalf("post-edit GetVia result does not validate fresh")
 	}
 	samePartition(t, "post-edit GetVia{0,1,2}", p012b, BuildPLI(r, []int{0, 1, 2}))
 
@@ -261,8 +261,8 @@ func TestGetViaRefinesAndValidates(t *testing.T) {
 	if s := cache.Stats(); s.Refines != before.Refines+1 {
 		t.Fatalf("re-warmed parent should serve refinement: %+v -> %+v", before, s)
 	}
-	if !p013.Fresh(r) {
-		t.Fatalf("refined PLI does not validate Fresh after edits")
+	if !p013.fresh(r) {
+		t.Fatalf("refined PLI does not validate fresh after edits")
 	}
 	samePartition(t, "post-edit GetVia{0,1,3}", p013, BuildPLI(r, []int{0, 1, 3}))
 }
@@ -387,10 +387,10 @@ func TestVersionsAndInvalidation(t *testing.T) {
 	if r.PatchVersion(0) != pv+1 {
 		t.Fatalf("Set did not journal a cell patch")
 	}
-	if p01.Fresh(r) {
+	if p01.fresh(r) {
 		t.Fatalf("PLI over edited column still claims freshness")
 	}
-	if !p23.Fresh(r) {
+	if !p23.fresh(r) {
 		t.Fatalf("PLI over untouched columns was invalidated by an unrelated edit")
 	}
 	editBefore := cache.Stats()
@@ -401,8 +401,8 @@ func TestVersionsAndInvalidation(t *testing.T) {
 	if s := cache.Stats(); s.Misses != editBefore.Misses || s.Patches != editBefore.Patches+1 {
 		t.Fatalf("edit should patch, not rebuild: %+v -> %+v", editBefore, s)
 	}
-	if !p01b.Fresh(r) {
-		t.Fatalf("patched PLI does not validate Fresh")
+	if !p01b.fresh(r) {
+		t.Fatalf("patched PLI does not validate fresh")
 	}
 	if got := cache.Get(r, []int{2, 3}); got != p23 {
 		t.Fatalf("cache rebuilt an index over untouched columns")
@@ -433,18 +433,18 @@ func TestVersionsAndInvalidation(t *testing.T) {
 	if r.AppendVersion() != appendVer+1 {
 		t.Fatalf("Insert did not move the append watermark")
 	}
-	if p23.Fresh(r) {
+	if p23.fresh(r) {
 		t.Fatalf("PLI claims freshness before absorbing the appended row")
 	}
-	if !p23.AdvanceableTo(r) {
+	if !p23.advanceableTo(r) {
 		t.Fatalf("append-only staleness not advanceable")
 	}
 	got := cache.Get(r, []int{2, 3})
 	if got != p23 {
 		t.Fatalf("cache rebuilt an append-stale PLI instead of advancing it")
 	}
-	if !got.Fresh(r) {
-		t.Fatalf("advanced PLI does not validate Fresh")
+	if !got.fresh(r) {
+		t.Fatalf("advanced PLI does not validate fresh")
 	}
 	after := cache.Stats()
 	if after.Misses != before.Misses || after.Advances != before.Advances+1 {
@@ -456,7 +456,7 @@ func TestVersionsAndInvalidation(t *testing.T) {
 	// that may have absorbed the dropped rows cannot be trusted if the
 	// relation grows back to the same length with different tuples.
 	r.Truncate(r.Len() - 1)
-	if p23.Fresh(r) || p23.AdvanceableTo(r) {
+	if p23.fresh(r) || p23.advanceableTo(r) {
 		t.Fatalf("PLI survived a Truncate")
 	}
 	if got := cache.Get(r, []int{2, 3}); got == p23 {
@@ -479,7 +479,7 @@ func TestIndexCacheConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				attrs := attrSets[(w+i)%len(attrSets)]
 				pli := cache.Get(r, attrs)
-				if !pli.Fresh(r) {
+				if !pli.fresh(r) {
 					t.Errorf("stale PLI from quiescent cache")
 					return
 				}

@@ -49,7 +49,7 @@ type column struct {
 
 // CellPatch records one in-place cell rewrite: the TID's code in the
 // column changed Old -> New. Journaled by Relation.Set and drained by
-// PLI catch-up (see PLI.Patch / IndexCache).
+// PLI catch-up (see PLI.patch / IndexCache).
 type CellPatch struct {
 	TID int
 	Old int32
@@ -139,7 +139,7 @@ func (r *Relation) Version() uint64 { return r.version }
 // instead of rebuilding. Insert bumps NO column version either:
 // appending rows changes no existing code, so an index distinguishes
 // "rows appended" (length watermark lags Len — absorbable via
-// PLI.Advance), "cells patched" (patch watermark lags PatchVersion —
+// PLI.advance), "cells patched" (patch watermark lags PatchVersion —
 // absorbable via PLI patching), and "codes hard-invalidated" (version
 // mismatch — a rebuild).
 func (r *Relation) ColumnVersion(attr int) uint64 { return r.cols[attr].version }
@@ -216,7 +216,7 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 		c := r.cols[i]
 		// Appends deliberately leave c.version alone: no existing code
 		// changed, and PLIs detect growth through the length watermark
-		// (and absorb it incrementally, see PLI.Advance).
+		// (and absorb it incrementally, see PLI.advance).
 		c.codes = append(c.codes, r.intern(i, v))
 	}
 	r.version++
@@ -342,7 +342,7 @@ func (r *Relation) PatchVersion(attr int) uint64 { return r.cols[attr].patchSeq 
 // numbers >= since, in application order, and whether the journal still
 // retains that suffix (false after a hard invalidation discarded it —
 // the caller must rebuild; the accompanying version bump makes that
-// case visible to Fresh/AdvanceableTo as well). The returned slice
+// case visible to fresh/advanceableTo as well). The returned slice
 // aliases the journal: callers must drain it before releasing whatever
 // exclusion kept Set away (the session write-lock discipline).
 func (r *Relation) PatchesSince(attr int, since uint64) ([]CellPatch, bool) {

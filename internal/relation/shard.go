@@ -8,7 +8,7 @@ import (
 )
 
 // Sharded PLI construction: the counting-sort refinement of BuildPLI /
-// Intersect, parallelized across a worker pool without changing a single
+// intersect, parallelized across a worker pool without changing a single
 // output byte. Two complementary splits cover the shapes a refinement
 // level can take:
 //
@@ -64,8 +64,8 @@ func BuildPLISharded(r *Relation, attrs []int, shards int) *PLI {
 	return buildPLI(r, attrs, effectiveShards(r.Len(), shards))
 }
 
-// IntersectSharded is Intersect with the single refinement pass fanned
-// out over up to `shards` workers; byte-identical to Intersect(y), and
+// IntersectSharded is intersect with the single refinement pass fanned
+// out over up to `shards` workers; byte-identical to intersect(y), and
 // serial for shards <= 1.
 func (p *PLI) IntersectSharded(y, shards int) *PLI {
 	p.Compact()
@@ -82,7 +82,7 @@ func (p *PLI) IntersectSharded(y, shards int) *PLI {
 	}
 	s := effectiveShards(p.n, shards)
 	// refinement only reads the parent's TID storage, so it is shared
-	// directly instead of copied (see Intersect).
+	// directly instead of copied (see intersect).
 	next := make([]int, p.n)
 	var offsets []int32
 	if s > 1 {

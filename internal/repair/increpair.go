@@ -166,7 +166,7 @@ func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, se
 	// repair DOES write (chained constraints, where one rule's RHS is
 	// another's LHS) survives: each Set lands in the column's patch
 	// journal and the next GetDelta drains it into the cached PLI as a
-	// per-cell group move (PLI.Patch), so multi-pass repairs never
+	// per-cell group move (PLI.patch), so multi-pass repairs never
 	// counting-sort anything from scratch.
 	passes := 0
 	for ; passes < opts.MaxPasses; passes++ {

@@ -64,7 +64,13 @@ func (p *Project) Data() *relation.Relation { return p.s.Data() }
 func (p *Project) Constraints() *cfd.Set { return p.s.Constraints() }
 
 // Detect runs native violation detection on the current data.
-func (p *Project) Detect() ([]cfd.Violation, error) { return p.s.Detect() }
+func (p *Project) Detect() ([]cfd.Violation, error) {
+	res, err := p.s.Detect()
+	if err != nil {
+		return nil, err
+	}
+	return res.Violations, nil
+}
 
 // DetectSQL runs the TODS 2008 SQL-based detection on the current data
 // and returns the violating TIDs. The result always equals

@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
-	"maps"
 	"net/http"
 	"time"
 
+	"semandaq/internal/cfd"
 	"semandaq/internal/dc"
 )
 
@@ -28,7 +28,7 @@ func (s *Server) handleDCs(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	set, err := s.be.InstallDCs(req.Dataset, req.DCs)
+	set, err := s.reg.InstallDCs(req.Dataset, req.DCs)
 	if err != nil {
 		writeEngineError(w, err, http.StatusBadRequest)
 		return
@@ -79,14 +79,14 @@ func (s *Server) handleDCDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	reports, extra, err := ds.detectDCs(req.Limit)
+	res, err := ds.DetectDCs(req.Limit)
 	if err != nil {
 		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
-	out := make([]dcReportJSON, len(reports))
+	out := make([]dcReportJSON, len(res.Reports))
 	total := 0
-	for i, rep := range reports {
+	for i, rep := range res.Reports {
 		out[i] = dcReportJSON{
 			Name:       rep.Name,
 			Constraint: rep.Constraint,
@@ -102,7 +102,14 @@ func (s *Server) handleDCDetect(w http.ResponseWriter, r *http.Request) {
 		"reports":    out,
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
 	}
-	maps.Copy(resp, extra)
+	if res.Residual != nil {
+		// One residual per report; a dataset without DCs has neither.
+		residual := make([]residualJSON, len(res.Residual))
+		for i, st := range res.Residual {
+			residual[i] = residualInfo(cfd.MergeStats(st))
+		}
+		resp["residual"] = residual
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -27,25 +27,26 @@
 //
 // There is one Server, one route table and one handler per route. New
 // serves a local engine, NewCoordinator a worker fleet; the handlers
-// reach either through the backend interface (backend.go), and what
-// differs between the modes is derived from what the backend can do:
-// /v1/repair, /v1/edit and /v1/dc/relax need engine sessions and answer
-// 501 over a coordinator, /v1/shard/* is mounted only beside a local
-// engine, and a coordinator adds residual / workers / degraded /
-// failed_workers / shards keys to the responses the local path builds.
+// reach either as an engine.Registry of engine.Dataset values, and the
+// keys only a cluster answers with (residual, workers, degraded,
+// failed_workers, shards) come from the fields only it fills in the
+// results. What differs between the modes beyond that: /v1/repair,
+// /v1/edit and /v1/dc/relax need engine sessions and answer 501 over a
+// coordinator, /v1/shard/* is mounted only beside a local engine, and
+// /healthz and /v1/stats list a coordinator's workers.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"strings"
 	"sync/atomic"
 
 	"semandaq/internal/cfd"
 	"semandaq/internal/datagen"
+	"semandaq/internal/discovery"
 	"semandaq/internal/engine"
 	"semandaq/internal/noise"
 	"semandaq/internal/relation"
@@ -58,8 +59,8 @@ const maxBodyBytes = 64 << 20
 // Server is the HTTP front end over a local engine or a cluster
 // coordinator.
 type Server struct {
-	be backend
-	// eng is the local engine behind be, nil over a coordinator: the
+	reg engine.Registry
+	// eng is the local engine behind reg, nil over a coordinator: the
 	// capability the session-level handlers (localOnly, shard.go) need.
 	eng   *engine.Engine
 	mux   *http.ServeMux
@@ -80,7 +81,7 @@ func (s *Server) SetRecovering(v bool) { s.recovering.Store(v) }
 // New builds the handler around a local engine. Every such server also
 // mounts the worker half of the shard protocol (shard.go).
 func New(eng *engine.Engine) *Server {
-	s := newServer(localBackend{eng}, eng)
+	s := newServer(eng, eng)
 	s.mux.HandleFunc("POST /v1/shard/register", s.handleShardRegister)
 	s.mux.HandleFunc("POST /v1/shard/detect", s.handleShardDetect)
 	s.mux.HandleFunc("POST /v1/shard/groups", s.handleShardGroups)
@@ -93,13 +94,13 @@ func New(eng *engine.Engine) *Server {
 // coordinator and merging shard results (byte-identical to
 // single-process detection; see internal/cfd/scatter.go).
 func NewCoordinator(coord *engine.Coordinator) *Server {
-	return newServer(clusterBackend{coord}, nil)
+	return newServer(coord, nil)
 }
 
 // newServer mounts the public route table — the one place a route is
 // added (TestRouteParity walks it in both modes).
-func newServer(be backend, eng *engine.Engine) *Server {
-	s := &Server{be: be, eng: eng, mux: http.NewServeMux(), stats: newServerStats()}
+func newServer(reg engine.Registry, eng *engine.Engine) *Server {
+	s := &Server{reg: reg, eng: eng, mux: http.NewServeMux(), stats: newServerStats()}
 	s.bodies.byName = map[string]*violationBody{}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegister)
@@ -151,8 +152,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"recovery_rejects": s.stats.recoveryRejects(),
 		"violation_bodies": s.bodies.stats(),
 	}
-	if f, ok := s.be.(fleet); ok {
-		out["workers"] = f.WorkerStats()
+	if c, ok := s.reg.(*engine.Coordinator); ok {
+		out["workers"] = c.WorkerStats()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -187,15 +188,11 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// badRequest marks an error a backend found in the request itself, so
-// writeEngineError answers 400 whatever the route's fallback.
-type badRequest struct{ error }
-
 // writeEngineError is the one error→status mapping: a worker's
 // deliberate 4xx relays as-is, an unreachable or broken worker is 502,
-// unknown datasets 404, duplicates 409, and a journal failure is the
-// service's fault (500), never the client's; anything else gets the
-// route's fallback.
+// unknown datasets 404, duplicates 409, the client's own bad data 400,
+// and a journal failure is the service's fault (500), never the
+// client's; anything else gets the route's fallback.
 func writeEngineError(w http.ResponseWriter, err error, fallback int) {
 	var wse *workerStatusError
 	code := fallback
@@ -210,19 +207,19 @@ func writeEngineError(w http.ResponseWriter, err error, fallback int) {
 		code = http.StatusNotFound
 	case errors.Is(err, engine.ErrDuplicate):
 		code = http.StatusConflict
-	case errors.As(err, &badRequest{}):
+	case errors.Is(err, engine.ErrInvalid):
 		code = http.StatusBadRequest
 	}
 	writeError(w, code, err)
 }
 
 // dataset resolves the dataset named in a request.
-func (s *Server) dataset(w http.ResponseWriter, name string) (dataset, bool) {
+func (s *Server) dataset(w http.ResponseWriter, name string) (engine.Dataset, bool) {
 	if name == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing dataset name"))
 		return nil, false
 	}
-	ds, ok := s.be.get(name)
+	ds, ok := s.reg.Lookup(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return nil, false
@@ -237,7 +234,7 @@ func (s *Server) session(w http.ResponseWriter, name string) (*engine.Session, b
 	if !ok {
 		return nil, false
 	}
-	return ds.(localDataset).Session, true
+	return ds.(*engine.Session), true
 }
 
 // --- JSON shapes ---
@@ -253,30 +250,7 @@ type datasetJSON struct {
 	Schema      string `json:"schema"`
 	Constraints int    `json:"constraints"`
 	DCs         int    `json:"dcs"`
-	// IndexCache reports the session's PLI cache counters (shared by
-	// detection, discovery and incremental repair); a healthy steady
-	// state shows hits growing while misses and refines stay flat, and
-	// an append-heavy steady state (POST /v1/repair/incremental) grows
-	// advances — cached partitions extended by the delta in place —
-	// still without rebuilds. When those appends are dirty, the repair's
-	// cell writes drain into cached partitions as per-cell patches and
-	// grow patches instead of invalidating anything. evictions moves
-	// only under a configured cache byte budget, and shard_builds counts
-	// the cold builds that ran the TID-range-parallel counting sort
-	// (-shards). Under tiered storage (-spill-dir) spills counts
-	// demotions of clean partitions to segment files in place of
-	// evictions, and pageins counts the mmap-backed revivals that made
-	// the next touch rebuild-free.
-	IndexCache *relation.CacheStats `json:"index_cache,omitempty"`
-	// IndexResidentBytes is the cache's current heap-resident byte
-	// estimate — the quantity the -index-budget-mb budget bounds. Paged-
-	// in (mmap-backed) partitions cost almost nothing here; the gap
-	// between this and the logical index size is what tiering bought.
-	IndexResidentBytes *int64 `json:"index_resident_bytes,omitempty"`
-	// Shards are the per-worker tuple counts in TID-range order, on a
-	// coordinator (which holds no index of its own: the two fields above
-	// are the local backend's).
-	Shards []int `json:"shards,omitempty"`
+	engine.Storage
 }
 
 type changeJSON struct {
@@ -311,16 +285,15 @@ func repairResponse(schema *relation.Schema, res *repair.Result, accepted bool) 
 	return out
 }
 
-func datasetInfo(ds dataset) datasetJSON {
-	out := datasetJSON{
+func datasetInfo(ds engine.Dataset) datasetJSON {
+	return datasetJSON{
 		Name:        ds.Name(),
 		Tuples:      ds.Len(),
 		Schema:      ds.Schema().String(),
 		Constraints: ds.Constraints().Len(),
 		DCs:         ds.DCs().Len(),
+		Storage:     ds.Storage(),
 	}
-	ds.describe(&out)
-	return out
 }
 
 // residualJSON reports the boundary-group residual pass of a merge —
@@ -334,12 +307,27 @@ func residualInfo(st cfd.MergeStats) residualJSON {
 	return residualJSON{st, st.BoundaryFraction()}
 }
 
+// mergeInfo adds what a cluster answer says about the merge behind it
+// to out; a session's answer has nothing to add. A degraded merge — also
+// the re-detect behind a read that missed the cache — is a sound
+// partial answer over the surviving shards: flagged, never cached,
+// never silently passed off as the global result.
+func mergeInfo(out map[string]any, res *engine.DetectResult) {
+	if res.Residual != nil {
+		out["residual"] = residualInfo(*res.Residual)
+	}
+	if res.Degraded {
+		out["degraded"] = true
+		out["failed_workers"] = res.Failed
+	}
+}
+
 // --- handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]any{"status": "ok", "datasets": len(s.be.List())}
-	if f, ok := s.be.(fleet); ok {
-		out["workers"] = f.Workers()
+	out := map[string]any{"status": "ok", "datasets": len(s.reg.List())}
+	if c, ok := s.reg.(*engine.Coordinator); ok {
+		out["workers"] = c.Workers()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -388,7 +376,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ds, err := s.be.register(req.Name, data)
+	ds, err := s.reg.Add(req.Name, data)
 	if err != nil {
 		writeEngineError(w, err, http.StatusBadRequest)
 		return
@@ -433,10 +421,10 @@ func buildRelation(req registerRequest) (*relation.Relation, error) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	names := s.be.List()
+	names := s.reg.List()
 	out := make([]datasetJSON, 0, len(names))
 	for _, name := range names {
-		if ds, ok := s.be.get(name); ok {
+		if ds, ok := s.reg.Lookup(name); ok {
 			out = append(out, datasetInfo(ds))
 		}
 	}
@@ -453,10 +441,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !s.be.Drop(name) {
+	if !s.reg.Drop(name) {
 		// Drop refuses a drop it cannot journal. The dataset still being
 		// there tells that case from a name that was never registered.
-		if _, ok := s.be.get(name); ok {
+		if _, ok := s.reg.Lookup(name); ok {
 			writeError(w, http.StatusInternalServerError,
 				fmt.Errorf("dropping dataset %q: %w", name, engine.ErrNotDurable))
 			return
@@ -478,7 +466,7 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	set, err := s.be.InstallConstraints(req.Dataset, req.CFDs)
+	set, err := s.reg.InstallConstraints(req.Dataset, req.CFDs)
 	if err != nil {
 		writeEngineError(w, err, http.StatusBadRequest)
 		return
@@ -541,21 +529,15 @@ func (s *Server) handleRepairIncremental(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no tuples to append"))
 		return
 	}
-	schema := ds.Schema()
-	for i, fields := range req.Tuples {
-		if len(fields) != schema.Arity() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("tuple %d has %d fields, schema %s expects %d", i, len(fields), schema.Name(), schema.Arity()))
-			return
-		}
-	}
-	n, extra, err := ds.appendRows(req.Tuples)
+	res, err := ds.AppendRows(req.Tuples)
 	if err != nil {
 		writeEngineError(w, err, http.StatusConflict)
 		return
 	}
-	out := map[string]any{"appended": n, "tuples": ds.Len()}
-	maps.Copy(out, extra)
+	out := map[string]any{"appended": res.Appended, "tuples": ds.Len()}
+	if res.Repair != nil {
+		out["repair"] = repairResponse(ds.Schema(), res.Repair, true)
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -576,14 +558,21 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	found, err := ds.discover(req.MinSupport, req.MaxLHS, req.Install)
+	found, err := ds.Discover(discovery.Options{MinSupport: req.MinSupport, MaxLHS: req.MaxLHS}, req.Install)
 	if err != nil {
 		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
+	var strs []string // null for a nil list (a cluster that found nothing)
+	if found != nil {
+		strs = make([]string, len(found))
+		for i, c := range found {
+			strs[i] = c.String()
+		}
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":     len(found),
-		"cfds":      found,
+		"cfds":      strs,
 		"installed": req.Install,
 	})
 }

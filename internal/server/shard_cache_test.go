@@ -237,7 +237,8 @@ func testRestartedWorker(t *testing.T) {
 	for _, row := range kv([2]string{"a", "x"}, [2]string{"b", "y"}, [2]string{"c", "z"}, [2]string{"d", "w"}) {
 		data.MustInsert(row)
 	}
-	if _, err := coord.Register("kv", data); err != nil {
+	cd, err := coord.Register("kv", data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.InstallConstraints("kv", cfds); err != nil {
@@ -248,15 +249,15 @@ func testRestartedWorker(t *testing.T) {
 	}
 	ask := func() (cfdCount, dcCount int) {
 		t.Helper()
-		res, err := coord.Detect("kv")
+		res, err := cd.Detect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports, _, err := coord.DetectDCs("kv", 0)
+		dcs, err := cd.DetectDCs(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(res.Violations), len(reports[0].Violations)
+		return len(res.Violations), len(dcs.Reports[0].Violations)
 	}
 	for i := 0; i < 2; i++ {
 		if c, d := ask(); c != 0 || d != 0 {

@@ -215,7 +215,8 @@ func TestClusterDetectOvertakenByAppend(t *testing.T) {
 	for _, kv := range [][2]string{{"a", "x"}, {"b", "y"}, {"c", "z"}, {"d", "w"}} {
 		data.MustInsert(relation.Tuple{relation.String(kv[0]), relation.String(kv[1])})
 	}
-	if _, err := coord.Register("kv", data); err != nil {
+	cd, err := coord.Register("kv", data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.InstallConstraints("kv", "kv([K] -> [V])"); err != nil {
@@ -224,7 +225,7 @@ func TestClusterDetectOvertakenByAppend(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		res, err := coord.Detect("kv")
+		res, err := cd.Detect()
 		if err == nil && len(res.Violations) != 0 {
 			t.Errorf("the overtaken detect saw %v", res.Violations)
 		}
@@ -232,14 +233,14 @@ func TestClusterDetectOvertakenByAppend(t *testing.T) {
 	}()
 	<-computed
 	<-computed // both shards answered from the four-row state
-	if n, err := coord.Append("kv", [][]string{{"a", "q"}}); err != nil || n != 1 {
-		t.Fatalf("append: %d %v", n, err)
+	if res, err := cd.AppendRows([][]string{{"a", "q"}}); err != nil || res.Appended != 1 {
+		t.Fatalf("append: %v %v", res, err)
 	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.Violations("kv")
+	res, err := cd.Violations()
 	if err != nil {
 		t.Fatal(err)
 	}

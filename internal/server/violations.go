@@ -109,7 +109,7 @@ func writeBody(w http.ResponseWriter, body []byte) {
 
 // violationBody is one dataset's encoded GET …/violations response.
 type violationBody struct {
-	gen  uint64 // of the list it encodes; process-unique, see engine.Session.SharedViolations
+	gen  uint64 // of the list it encodes; process-unique, see engine.DetectResult
 	body []byte
 	etag string
 }
@@ -156,11 +156,12 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	vs, gen, extra, err := ds.violations()
+	res, err := ds.Violations()
 	if err != nil {
 		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
+	gen := res.Gen
 	c := &s.bodies
 	c.mu.Lock()
 	b := c.byName[name]
@@ -179,15 +180,15 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !hit {
-		out := map[string]any{"count": len(vs)}
-		maps.Copy(out, extra)
-		b = &violationBody{gen: gen, body: encodeViolations(out, ds.Schema(), vs, vs)}
+		out := map[string]any{"count": len(res.Violations)}
+		mergeInfo(out, res)
+		b = &violationBody{gen: gen, body: encodeViolations(out, ds.Schema(), res.Violations, res.Violations)}
 		if gen != 0 { // 0: a list the engine could not cache; serve it once, untagged
 			// The crc keeps a tag from matching another process's body:
 			// a restarted daemon issues the same generations again.
 			b.etag = fmt.Sprintf(`"%x-%08x"`, gen, crc32.ChecksumIEEE(b.body))
 			c.set(name, b)
-			if _, ok := s.be.get(name); !ok {
+			if _, ok := s.reg.Lookup(name); !ok {
 				c.set(name, nil) // dropped meanwhile, and handleDrop's removal may have come first
 			}
 		}
@@ -222,12 +223,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	vs, extra, err := ds.detect()
+	res, err := ds.Detect()
 	if err != nil {
 		writeEngineError(w, err, http.StatusInternalServerError)
 		return
 	}
-	shown := vs
+	vs, shown := res.Violations, res.Violations
 	if req.Limit > 0 && len(shown) > req.Limit {
 		shown = shown[:req.Limit]
 	}
@@ -235,6 +236,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		"count":      len(vs),
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
 	}
-	maps.Copy(out, extra)
+	mergeInfo(out, res)
+	if res.Workers != nil {
+		out["workers"] = res.Workers
+	}
 	writeBody(w, encodeViolations(out, ds.Schema(), vs, shown))
 }

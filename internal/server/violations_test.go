@@ -81,7 +81,7 @@ func TestViolationBodyIdentity(t *testing.T) {
 	}{{"local", local}, {"cluster", cluster}} {
 		t.Run(mode.name, func(t *testing.T) {
 			registerCust(t, mode.ts, "cust", 400)
-			ds, ok := mode.ts.Config.Handler.(*Server).be.get("cust")
+			ds, ok := mode.ts.Config.Handler.(*Server).reg.Lookup("cust")
 			if !ok {
 				t.Fatal("dataset not registered")
 			}
@@ -96,22 +96,26 @@ func TestViolationBodyIdentity(t *testing.T) {
 				}
 			}
 
-			vs, extra, err := ds.detect()
+			res, err := ds.Detect()
 			if err != nil {
 				t.Fatal(err)
 			}
+			vs := res.Violations
 			out := map[string]any{"count": len(vs), "elapsed_ms": 1.25}
-			maps.Copy(out, extra)
+			mergeInfo(out, res)
+			if res.Workers != nil {
+				out["workers"] = res.Workers
+			}
 			check("detect", out, vs, vs)
 			check("detect limit=3", out, vs, vs[:3])
 			check("detect limit=0 shown", out, vs, vs[:0])
 
-			vs, _, extra, err = ds.violations()
-			if err != nil {
+			if res, err = ds.Violations(); err != nil {
 				t.Fatal(err)
 			}
+			vs = res.Violations
 			out = map[string]any{"count": len(vs)}
-			maps.Copy(out, extra)
+			mergeInfo(out, res)
 			check("read", out, vs, vs)
 			want := referenceBody(out, ds.Schema(), vs, vs)
 			for _, pass := range []string{"encoded", "cached"} {
@@ -144,13 +148,14 @@ func TestViolationBodyIdentity(t *testing.T) {
 
 	// Degraded: the surviving shard's list with the failure report beside it.
 	workers[1].Close()
-	ds, _ := cluster.Config.Handler.(*Server).be.get("cust")
-	vs, extra, err := ds.detect()
-	if err != nil || extra["degraded"] != true || len(vs) == 0 {
-		t.Fatalf("degraded detect: %d violations, %v, %v", len(vs), extra, err)
+	ds, _ := cluster.Config.Handler.(*Server).reg.Lookup("cust")
+	res, err := ds.Detect()
+	if err != nil || !res.Degraded || len(res.Violations) == 0 {
+		t.Fatalf("degraded detect: %v, %v", res, err)
 	}
-	out := map[string]any{"count": len(vs), "elapsed_ms": 0.5}
-	maps.Copy(out, extra)
+	vs := res.Violations
+	out := map[string]any{"count": len(vs), "elapsed_ms": 0.5, "workers": res.Workers}
+	mergeInfo(out, res)
 	if got, want := encodeViolations(out, ds.Schema(), vs, vs), referenceBody(out, ds.Schema(), vs, vs); !bytes.Equal(got, want) {
 		t.Fatalf("degraded detect: encoded body differs from writeJSON's\n got %.300s\nwant %.300s", got, want)
 	}
@@ -304,8 +309,8 @@ func TestViolationsETag(t *testing.T) {
 
 // TestViolationBodiesConcurrent (-race): reads, detects, appends and
 // edits race on one dataset. Mutations are serialised by the test, and
-// after each the state's true list — Session.DetectSerial, which shares
-// nothing with the caches — is recorded. Every 200 body must be the
+// after each the state's true list — a cfd.Detector over a snapshot,
+// which shares nothing with the caches — is recorded. Every 200 body must be the
 // list of some state the session passed through, and a read issued
 // after an edit returned, with no mutation in between, must be the list
 // of the state that edit produced: a stale generation is never served.
@@ -323,7 +328,7 @@ func TestViolationBodiesConcurrent(t *testing.T) {
 	var mut sync.Mutex // serialises mutations; guards states
 	states := map[string]bool{}
 	record := func() string {
-		vs, err := sess.DetectSerial()
+		vs, err := cfd.NewDetector(sess.Constraints()).Detect(sess.Snapshot())
 		if err != nil {
 			t.Error(err)
 		}
