@@ -66,7 +66,7 @@ func main() {
 
 	// Incremental path: append a new tuple that conflicts with its zip
 	// group; IncRepair fixes only the newcomer.
-	wrong := p.Data().Tuple(0).Clone()
+	wrong := p.Data().Tuple(0)
 	wrong[schema.MustIndex("PN")] = relation.String("fresh-pn")
 	wrong[str] = relation.String("NO SUCH STREET")
 	start = time.Now()

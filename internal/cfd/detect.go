@@ -1,11 +1,13 @@
 package cfd
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
 
+	"semandaq/internal/pattern"
 	"semandaq/internal/relation"
 )
 
@@ -217,16 +219,28 @@ func groupVarConflict(r *relation.Relation, codes []int32, tids []int, attr int)
 			break
 		}
 	}
-	fv := r.Tuple(tids[0])[attr]
+	fv := r.Get(tids[0], attr)
 	if agree && !isNaNValue(fv) {
 		return false
 	}
 	for _, tid := range tids[1:] {
-		if !r.Tuple(tid)[attr].Identical(fv) {
+		if !r.Get(tid, attr).Identical(fv) {
 			return true
 		}
 	}
 	return false
+}
+
+// rowMatches is pattern.Row.Matches over the relation's cells: does tuple
+// tid match row on attrs? It reads each cell through Get, so matching a
+// group's representative builds no tuple.
+func rowMatches(r *relation.Relation, row pattern.Row, attrs []int, tid int) bool {
+	for i, p := range row {
+		if !p.Matches(r.Get(tid, attrs[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // DetectGroups is the partitioned detection entry point: it detects
@@ -283,7 +297,6 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 			continue
 		}
 		repTID := tids[0]
-		rep := r.Tuple(repTID)
 		for rowIdx, row := range c.tableau {
 			lp := &prep.lhs[rowIdx]
 			if lp.skip {
@@ -299,7 +312,7 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 			if !matched {
 				continue
 			}
-			if lp.fallback && !row[:nl].Matches(rep, c.lhs) {
+			if lp.fallback && !rowMatches(r, row[:nl], c.lhs, repTID) {
 				continue
 			}
 			for j, attr := range c.rhs {
@@ -328,7 +341,7 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 						}
 					default:
 						for _, tid := range tids {
-							if !p.Matches(r.Tuple(tid)[attr]) {
+							if !p.Matches(r.Get(tid, attr)) {
 								out = append(out, Violation{
 									CFD: c, Row: rowIdx, Kind: ConstViolation,
 									Attr: attr, TIDs: []int{tid},
@@ -357,12 +370,19 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 }
 
 // IncDetect returns the violations of c in r that involve at least one of
-// the given TIDs (typically a freshly inserted or edited batch). The
-// caller provides the current X-partition over all of r; IncDetect only
-// inspects the X-groups touched by the batch, which is the access pattern
-// of the IncRepair algorithm (Cong et al., VLDB 2007). Groups are
-// visited in ascending group-index order, so the output is
-// deterministic.
+// the given TIDs (typically a freshly inserted or edited batch; duplicates
+// and any order are fine). The caller provides the current X-partition
+// over all of r. IncDetect walks the delta, not the groups it lands in —
+// the access pattern of the IncRepair algorithm (Cong et al., VLDB
+// 2007): the delta's (group, TID) pairs are sorted, each touched group's
+// LHS is matched once on one of its delta members (members agree on X),
+// a constant RHS is checked on the group's delta members only, and the
+// group's full membership is read only when a wildcard-RHS row matches
+// it. An append therefore costs O(|delta|) here unless it joins a group
+// a wildcard RHS constrains. Groups are visited in ascending
+// group-index order and members in ascending TID order, so the output
+// is deterministic: per group, rows, RHS attributes and TIDs in the
+// order DetectGroups reports them, restricted to the delta.
 //
 // IncDetect tolerates an overlay: the PLI may come from
 // IndexCache.GetDelta, with appended rows absorbed but not compacted
@@ -376,52 +396,52 @@ func detectGroupsPrepared(r *relation.Relation, c *CFD, pli *relation.PLI, lo, h
 // of in sorted-key position; full detection (DetectGroups over
 // IndexCache.Get) always sees canonical order.
 func IncDetect(r *relation.Relation, c *CFD, pli *relation.PLI, tids []int) []Violation {
-	only := make(map[int]bool, len(tids))
-	groupSet := make(map[int]bool, len(tids))
-	for _, tid := range tids {
-		only[tid] = true
-		groupSet[pli.GroupOf(tid)] = true
+	delta := make([][2]int, len(tids)) // (group, TID)
+	for i, tid := range tids {
+		delta[i] = [2]int{pli.GroupOf(tid), tid}
 	}
-	groups := make([]int, 0, len(groupSet))
-	for g := range groupSet {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
+	slices.SortFunc(delta, func(a, b [2]int) int {
+		if d := cmp.Compare(a[0], b[0]); d != 0 {
+			return d
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	delta = slices.Compact(delta)
 
 	var out []Violation
 	nl := len(c.lhs)
-	for _, g := range groups {
-		groupTIDs := pli.Group(g)
-		if len(groupTIDs) == 0 {
-			continue
+	for lo := 0; lo < len(delta); {
+		g, hi := delta[lo][0], lo+1
+		for hi < len(delta) && delta[hi][0] == g {
+			hi++
 		}
-		rep := r.Tuple(groupTIDs[0])
+		members := delta[lo:hi]
+		lo = hi
+		var group []int // the whole group, read on the first wildcard-RHS match
 		for rowIdx, row := range c.tableau {
-			if !row[:nl].Matches(rep, c.lhs) {
+			if !rowMatches(r, row[:nl], c.lhs, members[0][1]) {
 				continue
 			}
 			for j, attr := range c.rhs {
 				p := row[nl+j]
 				if p.IsConst() {
-					for _, tid := range groupTIDs {
-						if only[tid] && !p.Matches(r.Tuple(tid)[attr]) {
+					for _, m := range members {
+						if !p.Matches(r.Get(m[1], attr)) {
 							out = append(out, Violation{
 								CFD: c, Row: rowIdx, Kind: ConstViolation,
-								Attr: attr, TIDs: []int{tid},
+								Attr: attr, TIDs: []int{m[1]},
 							})
 						}
 					}
 					continue
 				}
-				if len(groupTIDs) < 2 {
-					continue
+				if group == nil {
+					group = pli.Group(g)
 				}
-				if groupVarConflict(r, r.ColumnCodes(attr), groupTIDs, attr) {
-					group := append([]int(nil), groupTIDs...)
-					sort.Ints(group)
+				if len(group) >= 2 && groupVarConflict(r, r.ColumnCodes(attr), group, attr) {
 					out = append(out, Violation{
 						CFD: c, Row: rowIdx, Kind: VarViolation,
-						Attr: attr, TIDs: group,
+						Attr: attr, TIDs: slices.Clone(group), // Group is ascending
 					})
 				}
 			}

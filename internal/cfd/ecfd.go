@@ -231,11 +231,10 @@ func DetectECFD(r *relation.Relation, e *ECFD) ([]Violation, error) {
 	nl := len(e.lhs)
 	for g := 0; g < pli.NumGroups(); g++ {
 		tids := pli.Group(g)
-		rep := r.Tuple(tids[0])
 		for rowIdx, row := range e.tableau {
 			matched := true
 			for i, attr := range e.lhs {
-				if !row[i].Matches(rep[attr]) {
+				if !row[i].Matches(r.Get(tids[0], attr)) {
 					matched = false
 					break
 				}
@@ -249,7 +248,7 @@ func DetectECFD(r *relation.Relation, e *ECFD) ([]Violation, error) {
 					// Constrained RHS: every tuple in the group must match
 					// the disjunction/negation (single-tuple violations).
 					for _, tid := range tids {
-						if !p.Matches(r.Tuple(tid)[attr]) {
+						if !p.Matches(r.Get(tid, attr)) {
 							out = append(out, Violation{
 								Row: rowIdx, Kind: ConstViolation, Attr: attr, TIDs: []int{tid},
 							})
@@ -260,9 +259,9 @@ func DetectECFD(r *relation.Relation, e *ECFD) ([]Violation, error) {
 				if len(tids) < 2 {
 					continue
 				}
-				first := r.Tuple(tids[0])[attr]
+				first := r.Get(tids[0], attr)
 				for _, tid := range tids[1:] {
-					if !r.Tuple(tid)[attr].Identical(first) {
+					if !r.Get(tid, attr).Identical(first) {
 						group := append([]int(nil), tids...)
 						sort.Ints(group)
 						out = append(out, Violation{

@@ -22,8 +22,9 @@ func DetectNaive(r *relation.Relation, c *CFD) ([]Violation, error) {
 	nl := len(c.lhs)
 	var out []Violation
 
+	rows := r.Tuples()
 	// Constant violations: per tuple, per row.
-	for tid, t := range r.Tuples() {
+	for tid, t := range rows {
 		for rowIdx, row := range c.tableau {
 			if !row[:nl].Matches(t, c.lhs) {
 				continue
@@ -48,10 +49,9 @@ func DetectNaive(r *relation.Relation, c *CFD) ([]Violation, error) {
 		key  string
 	}
 	groups := map[groupKey]map[int]bool{}
-	for i := 0; i < r.Len(); i++ {
-		ti := r.Tuple(i)
-		for j := i + 1; j < r.Len(); j++ {
-			tj := r.Tuple(j)
+	for i, ti := range rows {
+		for j := i + 1; j < len(rows); j++ {
+			tj := rows[j]
 			if !ti.EqualOn(tj, c.lhs) {
 				continue
 			}
@@ -81,10 +81,10 @@ func DetectNaive(r *relation.Relation, c *CFD) ([]Violation, error) {
 	for gk, members := range groups {
 		var rep relation.Tuple
 		for tid := range members {
-			rep = r.Tuple(tid)
+			rep = rows[tid]
 			break
 		}
-		for tid, t := range r.Tuples() {
+		for tid, t := range rows {
 			if !members[tid] && t.EqualOn(rep, c.lhs) {
 				members[tid] = true
 			}

@@ -18,6 +18,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -280,51 +281,44 @@ func ConstantCFDs(r *relation.Relation, opts Options) ([]*cfd.CFD, error) {
 		// below — so workers read a settled map.
 		found := mapLevel(level, opts.Workers, func(x []int) []candidate {
 			pli := opts.Cache.GetVia(r, x)
-			type group struct {
-				vals relation.Tuple
-				tids []int
-			}
-			var groups []group
+			var cands []candidate
 			// PLI groups arrive in sorted encoded-key order — exactly the
 			// FullKey order the legacy path sorted into — so iteration is
 			// already deterministic and reproducible.
 			for gi := 0; gi < pli.NumGroups(); gi++ {
 				tids := pli.Group(gi)
-				if len(tids) >= opts.MinSupport {
-					groups = append(groups, group{r.Tuple(tids[0]).Project(x), tids})
-				}
-			}
-			var cands []candidate
-			for _, g := range groups {
-				hasNull := false
-				for _, v := range g.vals {
-					if v.IsNull() {
-						hasNull = true
-						break
-					}
-				}
-				if hasNull {
+				if len(tids) < opts.MinSupport || slices.ContainsFunc(x, func(b int) bool { return r.Get(tids[0], b).IsNull() }) {
 					continue // constant patterns cannot express NULL
 				}
+				var vals relation.Tuple // the group's X values, read once some attribute is uniform
 				for a := 0; a < arity; a++ {
 					if contains(x, a) {
 						continue
 					}
-					av := r.Tuple(g.tids[0])[a]
+					av := r.Get(tids[0], a)
 					if av.IsNull() {
 						continue
 					}
 					uniform := true
-					for _, tid := range g.tids[1:] {
-						if !r.Tuple(tid)[a].Identical(av) {
+					for _, tid := range tids[1:] {
+						if !r.Get(tid, a).Identical(av) {
 							uniform = false
 							break
 						}
 					}
-					if !uniform || generalizes(x, g.vals, a, av) {
+					if !uniform {
 						continue
 					}
-					cands = append(cands, candidate{g.vals, a, av})
+					if vals == nil {
+						vals = make(relation.Tuple, len(x))
+						for i, b := range x {
+							vals[i] = r.Get(tids[0], b)
+						}
+					}
+					if generalizes(x, vals, a, av) {
+						continue
+					}
+					cands = append(cands, candidate{vals, a, av})
 				}
 			}
 			return cands
@@ -433,7 +427,7 @@ func conditionalRows(r *relation.Relation, cache *relation.IndexCache, pliX *rel
 	for g := 0; g < byCond.NumGroups(); g++ {
 		tids := byCond.Group(g)
 		if len(tids) >= minSupport {
-			v := r.Tuple(tids[0])[cond]
+			v := r.Get(tids[0], cond)
 			if !v.IsNull() {
 				cands = append(cands, candidate{v, tids})
 			}
@@ -442,14 +436,19 @@ func conditionalRows(r *relation.Relation, cache *relation.IndexCache, pliX *rel
 
 	codesA := r.ColumnCodes(a)
 	var rows []pattern.Row
+	first := map[int32]int{} // X-group -> first scope member, per candidate
 	for _, cand := range cands {
 		// Check X → A within the scope: every X-group of the scope must
 		// agree on A. Codes decide the fast path; unequal codes (possibly
 		// Identical across mixed kinds) and NaN fall back to the exact
 		// value comparison against the group's first member, preserving
 		// the legacy semantics.
-		first := map[int32]int{} // X-group -> first scope member
-		holds := true
+		//
+		// Trivial scopes are rejected too: if every X-group in scope is a
+		// singleton the FD holds vacuously, so at least one group must
+		// have 2+ members for the rule to be supported by evidence.
+		clear(first)
+		holds, supported := true, false
 		for _, tid := range cand.tids {
 			g := pliX.GroupOf(tid)
 			ft, ok := first[int32(g)]
@@ -457,31 +456,16 @@ func conditionalRows(r *relation.Relation, cache *relation.IndexCache, pliX *rel
 				first[int32(g)] = tid
 				continue
 			}
-			if codesA[tid] == codesA[ft] && !r.Tuple(ft)[a].IsNaN() {
+			supported = true
+			if codesA[tid] == codesA[ft] && !r.Get(ft, a).IsNaN() {
 				continue
 			}
-			if !r.Tuple(ft)[a].Identical(r.Tuple(tid)[a]) {
+			if !r.Get(ft, a).Identical(r.Get(tid, a)) {
 				holds = false
 				break
 			}
 		}
-		if !holds {
-			continue
-		}
-		// Reject trivial scopes: if every X-group in scope is a
-		// singleton the FD holds vacuously; require at least one group
-		// with 2+ members so the rule is supported by evidence.
-		supported := false
-		seen := map[int32]bool{}
-		for _, tid := range cand.tids {
-			g := int32(pliX.GroupOf(tid))
-			if seen[g] {
-				supported = true
-				break
-			}
-			seen[g] = true
-		}
-		if !supported {
+		if !holds || !supported {
 			continue
 		}
 		row := make(pattern.Row, 0, len(x)+1)

@@ -165,11 +165,10 @@ func GenerateTableau(r *relation.Relation, lhsNames []string, rhsName string, op
 			}
 		}
 		for _, b := range buckets {
-			rep := r.Tuple(b.tids[0])
 			row := make(pattern.Row, len(lhs))
 			nullVal := false
 			for i, pos := range sub {
-				v := rep[attrs[i]]
+				v := r.Get(b.tids[0], attrs[i])
 				if v.IsNull() {
 					nullVal = true
 					break

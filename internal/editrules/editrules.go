@@ -229,9 +229,9 @@ func (f *Fixer) CertainFix(t relation.Tuple, validated []int) (relation.Tuple, [
 			}
 			// All matching master tuples must agree on every fix value.
 			for bi, attr := range rule.fixIn {
-				want := f.master.Tuple(masters[0])[rule.fixMaster[bi]]
+				want := f.master.Get(masters[0], rule.fixMaster[bi])
 				for _, mid := range masters[1:] {
-					got := f.master.Tuple(mid)[rule.fixMaster[bi]]
+					got := f.master.Get(mid, rule.fixMaster[bi])
 					if !got.Identical(want) {
 						return nil, nil, fmt.Errorf(
 							"editrules: rule %s matches master tuples disagreeing on %s (%s vs %s); no certain fix",

@@ -405,7 +405,7 @@ func (c *Coordinator) Add(name string, data *relation.Relation) (Dataset, error)
 // register record carries the FULL rows: the coordinator keeps no tuple
 // data, so it is what re-feeds the workers their slices at recovery.
 func (c *Coordinator) registerRows(name string, schema *relation.Schema, rows []relation.Tuple) (*ClusterDataset, error) {
-	cd, err := c.register(name, schema, rows, func(j Journal) (*ClusterDataset, error) {
+	cd, err := c.register(name, schema, func() []relation.Tuple { return rows }, func(j Journal) (*ClusterDataset, error) {
 		w := len(c.clients)
 		size, rem := len(rows)/w, len(rows)%w
 		cd := &ClusterDataset{

@@ -184,13 +184,13 @@ func newRegistry[D member]() registry[D] {
 }
 
 // register reserves name, builds the dataset, journals its registration
-// (schema and rows) and publishes it, undoing the build when the
-// journal refuses. The name is reserved first, so a duplicate builds
-// nothing; the journal write happens BEFORE the dataset is reachable,
-// so no other record for it can precede its register record in the
-// log, and outside mu, so a slow fsync never blocks lookups of other
-// datasets.
-func (r *registry[D]) register(name string, schema *relation.Schema, rows []relation.Tuple, build func(Journal) (D, error)) (D, error) {
+// (schema and rows, produced only when there is a journal) and publishes
+// it, undoing the build when the journal refuses. The name is reserved
+// first, so a duplicate builds nothing; the journal write happens
+// BEFORE the dataset is reachable, so no other record for it can
+// precede its register record in the log, and outside mu, so a slow
+// fsync never blocks lookups of other datasets.
+func (r *registry[D]) register(name string, schema *relation.Schema, rows func() []relation.Tuple, build func(Journal) (D, error)) (D, error) {
 	var none D
 	if name == "" {
 		return none, fmt.Errorf("engine: dataset name must be non-empty")
@@ -205,7 +205,7 @@ func (r *registry[D]) register(name string, schema *relation.Schema, rows []rela
 	r.mu.Unlock()
 	d, err := build(j)
 	if err == nil && j != nil {
-		if jerr := j.LogRegister(name, schema, rows); jerr != nil {
+		if jerr := j.LogRegister(name, schema, rows()); jerr != nil {
 			d.release()
 			err = notDurable(fmt.Sprintf("register of %q", name), jerr)
 		}

@@ -90,7 +90,7 @@ func New(opts Options) *Engine {
 // with an empty constraint set. Names are unique; registering an
 // existing name fails (Drop it first).
 func (e *Engine) Register(name string, data *relation.Relation) (*Session, error) {
-	return e.register(name, data.Schema(), data.Tuples(), func(j Journal) (*Session, error) {
+	return e.register(name, data.Schema(), data.Tuples, func(j Journal) (*Session, error) {
 		return e.open(name, data, j)
 	})
 }

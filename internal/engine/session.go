@@ -606,7 +606,7 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 	base := s.data.Len()
 	deltaTIDs := make([]int, 0, len(tuples))
 	for _, t := range tuples {
-		tid, err := s.data.Insert(t.Clone())
+		tid, err := s.data.Insert(t)
 		if err != nil {
 			s.data.Truncate(base)
 			return nil, err

@@ -293,7 +293,7 @@ func E6IncRepair(baseSize int, deltaFracs []float64) *Table {
 		})
 		delta := make([]relation.Tuple, deltaDirty.Len())
 		for i := range delta {
-			delta[i] = deltaDirty.Tuple(i).Clone()
+			delta[i] = deltaDirty.Tuple(i)
 		}
 
 		dInc := timeIt(func() {
@@ -304,7 +304,7 @@ func E6IncRepair(baseSize int, deltaFracs []float64) *Table {
 
 		combined := base.Clone()
 		for _, tup := range delta {
-			combined.MustInsert(tup.Clone())
+			combined.MustInsert(tup)
 		}
 		dBatch := timeIt(func() {
 			if _, err := repair.Batch(combined, set, repair.Options{}); err != nil {
@@ -563,7 +563,7 @@ func E11CQA(sizes []int, conflictRate float64) *Table {
 		dirty := r.Clone()
 		nConf := int(conflictRate * float64(n))
 		for i := 0; i < nConf; i++ {
-			t0 := r.Tuple(i % r.Len()).Clone()
+			t0 := r.Tuple(i % r.Len())
 			t0[schema.MustIndex("CT")] = relation.String("conflict-city")
 			dirty.MustInsert(t0)
 		}
@@ -653,7 +653,7 @@ func E12EndToEnd(n int, rate float64) *Table {
 	}
 
 	// Incremental append.
-	tup := p.Data().Tuple(0).Clone()
+	tup := p.Data().Tuple(0)
 	tup[p.Data().Schema().MustIndex("PN")] = relation.String("e12-fresh")
 	tup[p.Data().Schema().MustIndex("STR")] = relation.String("E12 WRONG STREET")
 	d = timeIt(func() {

@@ -77,9 +77,8 @@ func (m *Matcher) Run(l, r *relation.Relation) ([]Match, error) {
 			}
 		}
 		verify := func(lt, rt int) {
-			ltup, rtup := l.Tuple(lt), r.Tuple(rt)
 			for _, p := range simPairs {
-				if !p.Cmp.Compare(ltup[p.Left], rtup[p.Right]) {
+				if !p.Cmp.Compare(l.Get(lt, p.Left), r.Get(rt, p.Right)) {
 					return
 				}
 			}

@@ -83,10 +83,11 @@ func (sn *SortedNeighborhood) Run(l, r *relation.Relation) ([]Match, error) {
 		}
 		return out
 	}
-	for tid, t := range l.Tuples() {
+	lrows, rrows := l.Tuples(), r.Tuples()
+	for tid, t := range lrows {
 		entries = append(entries, entry{renderKey(t, sn.leftKey), tid, true})
 	}
-	for tid, t := range r.Tuples() {
+	for tid, t := range rrows {
 		entries = append(entries, entry{renderKey(t, sn.rightKey), tid, false})
 	}
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].sortKey < entries[j].sortKey })
@@ -111,7 +112,7 @@ func (sn *SortedNeighborhood) Run(l, r *relation.Relation) ([]Match, error) {
 			if seen[pk] {
 				continue
 			}
-			if sn.key.Matches(l.Tuple(lt), r.Tuple(rt)) {
+			if sn.key.Matches(lrows[lt], rrows[rt]) {
 				seen[pk] = true
 				out = append(out, Match{LeftTID: lt, RightTID: rt, Keys: []string{sn.key.name}})
 			}

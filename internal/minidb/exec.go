@@ -320,14 +320,18 @@ func (db *DB) joinAndFilter(sel *Select, outerScope *scopeInfo, outerEnv *env, f
 			allEarly = false
 		}
 	}
+	// Cells are read one by one rather than through Tuples(), which would
+	// copy the whole table even when an EXISTS probe stops at its first row.
 	scratch := make([]relation.Value, width)
-	for _, t := range first.rel.Tuples() {
-		copy(scratch[:firstWidth], t)
+	for tid := 0; tid < first.rel.Len(); tid++ {
+		for a := 0; a < firstWidth; a++ {
+			scratch[a] = first.rel.Get(tid, a)
+		}
 		if !passes(scratch, firstWidth) {
 			continue
 		}
 		row := make([]relation.Value, width)
-		copy(row[:firstWidth], t)
+		copy(row[:firstWidth], scratch[:firstWidth])
 		rows = append(rows, row)
 		if firstOnly && allEarly {
 			break

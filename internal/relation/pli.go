@@ -10,7 +10,8 @@ import (
 // PLI is a position list index: the partition of a relation's TIDs into
 // groups agreeing on a fixed attribute list, computed over the interned
 // column codes without materializing string keys. It is the columnar
-// successor of HashIndex — groups are identical to HashIndex buckets
+// successor of the string-keyed HashIndex, which survives as the tests'
+// reference — groups are identical to HashIndex buckets
 // (codes coincide with Value.Encode keys), and the group order is the
 // same sorted-key order, so group-wise algorithms produce byte-identical
 // output on either index.
@@ -33,7 +34,7 @@ type PLI struct {
 	colVers   []uint64
 	patchVers []uint64 // per-attr patch-journal watermarks (Relation.PatchVersion)
 
-	// mu serializes the writers — advance, patch, Compact and the
+	// mu serializes the writers — advance, patch, compact and the
 	// IndexCache's catchUp. Plain reads (Group, GroupOf, Lookup, ...)
 	// stay lock-free; they must not overlap a write to the same PLI.
 	// Writes that follow a relation mutation are covered by the session
@@ -424,7 +425,7 @@ func (p *PLI) groupFor(lookup map[string]int32, key []byte) int32 {
 // cell patch on the indexed columns has been applied (see catchUp). A
 // PLI over untouched columns survives edits to other columns. Being fresh
 // does not imply canonical group order — an advanced or patched index
-// carries an overlay until Compact.
+// carries an overlay until it is folded.
 func (p *PLI) fresh(r *Relation) bool {
 	return p.patchableTo(r) && p.rows() == r.Len() && p.patchesCurrent(r)
 }
@@ -469,13 +470,13 @@ func (p *PLI) patchesCurrent(r *Relation) bool {
 // built or last advanced: each new TID joins the overlay record of its
 // group, or opens a new group — O(delta) map probes, no counting sort,
 // no rebuild. The overlay is folded into canonical sorted-group order
-// lazily (see Compact), automatically once it outgrows an eighth of the
+// lazily (see compact), automatically once it outgrows an eighth of the
 // index. advance returns false (changing nothing) when the index cannot
 // reach r by appending — an indexed column was edited, the relation was
 // reordered or truncated, or it is a different relation — and true
 // otherwise, including when there is nothing to absorb.
 //
-// advance, patch and Compact write the index and are serialized against
+// advance, patch and compact write the index and are serialized against
 // each other (PLI.mu), but must not overlap lock-free readers of the
 // same PLI; direct callers guarantee that by mutating the relation only
 // under an exclusive writer, as engine sessions do.
@@ -528,7 +529,7 @@ func (p *PLI) advanceLocked(r *Relation) bool {
 // follows); attr must be one of the indexed attributes. Reports whether
 // the TID actually moved groups.
 //
-// patch never folds the overlay: Compact ranks groups by their members'
+// patch never folds the overlay: a fold ranks groups by their members'
 // current codes, which is only sound once no record is pending.
 func (p *PLI) patch(tid, attr int, oldCode, newCode int32) bool {
 	p.mu.Lock()
@@ -647,10 +648,10 @@ func moveTID(del, ins *[]int, tid int) int {
 	return 1
 }
 
-// Compact folds the overlay into the base in place, after which the
+// compact folds the overlay into the base in place, after which the
 // index is byte-identical to BuildPLI over the relation it describes.
 // Compacting an index with an empty overlay is a no-op.
-func (p *PLI) Compact() {
+func (p *PLI) compact() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.foldLocked()

@@ -125,7 +125,7 @@ func TestAdvanceMatchesBuildPLI(t *testing.T) {
 				if !found {
 					t.Fatalf("%s: tolerant Lookup lost tuple %d", ctx, probeTID)
 				}
-				p.Compact()
+				p.compact()
 				if p.tailLen() != 0 {
 					t.Fatalf("%s: tail survives Compact", ctx)
 				}

@@ -144,7 +144,7 @@ func TestPublicPatchMatchesBuildPLI(t *testing.T) {
 			if !p.fresh(r) {
 				t.Fatalf("seed %d attrs %v: fully patched PLI not fresh", seed, attrs)
 			}
-			p.Compact()
+			p.compact()
 			samePLI(t, fmt.Sprintf("seed %d attrs %v", seed, attrs), r, p, BuildPLI(r, attrs))
 			// Un-journaled columns: edits to attributes the index does not
 			// mention never disturbed it (checked implicitly by fresh

@@ -295,7 +295,7 @@ func TestShardedCacheConcurrentBuildAppend(t *testing.T) {
 		if !got.fresh(r) {
 			t.Fatalf("attrs %v: cached entry stale after quiescence", attrs)
 		}
-		got.Compact()
+		got.compact()
 		sameFlat(t, fmt.Sprintf("post-concurrency attrs %v", attrs), got, BuildPLI(r, attrs))
 	}
 }

@@ -16,7 +16,7 @@ import (
 // code exactly when their values have the same Value.Encode key, which
 // is the grouping notion the hash indexes and PLIs are built on.
 type column struct {
-	codes   []int32          // per-TID code, parallel to Relation.tuples
+	codes   []int32          // per-TID code: the column's cells, positionally
 	dict    map[string]int32 // Encode key -> code
 	values  []Value          // code -> representative value
 	encs    []string         // code -> Encode key (needed for rank order)
@@ -91,19 +91,18 @@ func (c *column) clone() *column {
 	return out
 }
 
-// Relation is an in-memory table: a schema plus a slice of tuples. Tuple
-// identifiers (TIDs) are positions in the slice and are stable under
-// in-place cell updates, which is what the repair algorithms require.
-//
-// Alongside the row-oriented tuple storage the relation maintains an
-// interned columnar representation: per-column dictionaries assign each
-// distinct value a dense int32 code, and the code columns are kept in
-// sync by Insert and Set. Group-wise algorithms (violation detection,
+// Relation is an in-memory table: a schema plus one interned column per
+// attribute. Per-column dictionaries assign each distinct value a dense
+// int32 code, and a row is nothing but its codes: cell (tid, attr) is
+// the column's representative value of codes[tid], which is exact
+// because Value.Encode is injective (two values share a code only when
+// they are bit-identical). Tuple identifiers (TIDs) are row positions
+// and are stable under in-place cell updates, which is what the repair
+// algorithms require. Group-wise algorithms (violation detection,
 // partition indexes) consume the codes instead of re-encoding values
 // into string keys; see BuildPLI.
 type Relation struct {
 	schema  *Schema
-	tuples  []Tuple
 	cols    []*column
 	version uint64
 	appends uint64 // count of tuples ever appended (the append watermark)
@@ -122,8 +121,9 @@ func New(schema *Schema) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+// Len returns the number of tuples. A schema has at least one
+// attribute, so the first column's length is the row count.
+func (r *Relation) Len() int { return len(r.cols[0].codes) }
 
 // Version returns the relation's mutation counter: it increases on every
 // Insert, Truncate, reorder, and on every Set that actually changes a
@@ -149,15 +149,33 @@ func (r *Relation) ColumnVersion(attr int) uint64 { return r.cols[attr].version 
 // splits staleness into "grew by appends" and "mutated in place".
 func (r *Relation) AppendVersion() uint64 { return r.appends }
 
-// Tuple returns the tuple with the given TID. The returned slice aliases
-// relation storage; callers must not mutate it (use Set, which keeps the
-// columnar codes in sync).
-func (r *Relation) Tuple(tid int) Tuple { return r.tuples[tid] }
+// Tuple returns a fresh copy of the tuple with the given TID; writing
+// into it does not change the relation (use Set). Reading one cell is
+// Get, which allocates nothing.
+func (r *Relation) Tuple(tid int) Tuple {
+	t := make(Tuple, len(r.cols))
+	for a, c := range r.cols {
+		t[a] = c.values[c.codes[tid]]
+	}
+	return t
+}
 
-// Tuples returns the underlying tuple slice. The slice aliases relation
-// storage and must not be appended to, reordered or written through by
-// callers; use Insert, Set and SortStable.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// Tuples returns a fresh copy of every tuple, in TID order, carved from
+// one backing array; writing into them does not change the relation.
+func (r *Relation) Tuples() []Tuple {
+	n, k := r.Len(), len(r.cols)
+	cells := make([]Value, n*k)
+	for a, c := range r.cols {
+		for tid, code := range c.codes {
+			cells[tid*k+a] = c.values[code]
+		}
+	}
+	out := make([]Tuple, n)
+	for tid := range out {
+		out[tid] = cells[tid*k : (tid+1)*k : (tid+1)*k]
+	}
+	return out
+}
 
 // intern maps v to its dense code in column attr, allocating a new code
 // on first appearance. It must only be called from the relation's write
@@ -189,7 +207,9 @@ func (r *Relation) coerce(attr int, v Value) Value {
 
 // Insert validates and appends a tuple, returning its TID. The tuple must
 // have the schema's arity, and each non-NULL value must have the declared
-// kind (integers are accepted into float columns).
+// kind (integers are accepted into float columns and stored as floats).
+// The relation keeps the tuple's codes, not the tuple: the caller's
+// slice is neither retained nor written.
 func (r *Relation) Insert(t Tuple) (int, error) {
 	if len(t) != r.schema.Arity() {
 		return 0, fmt.Errorf("relation %s: inserting tuple of arity %d into schema of arity %d",
@@ -204,20 +224,18 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 			continue
 		}
 		if want == KindFloat && v.Kind() == KindInt {
-			t[i] = Float(v.FloatVal())
-			continue
+			continue // coerced below
 		}
 		return 0, fmt.Errorf("relation %s: attribute %s expects %v, got %v (%s)",
 			r.schema.Name(), r.schema.Attr(i).Name, want, v.Kind(), v)
 	}
-	tid := len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	tid := r.Len()
 	for i, v := range t {
 		c := r.cols[i]
 		// Appends deliberately leave c.version alone: no existing code
 		// changed, and PLIs detect growth through the length watermark
 		// (and absorb it incrementally, see PLI.advance).
-		c.codes = append(c.codes, r.intern(i, v))
+		c.codes = append(c.codes, r.intern(i, r.coerce(i, v)))
 	}
 	r.version++
 	r.appends++
@@ -231,10 +249,9 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 // that absorbed the dropped rows must not be mistaken for fresh if the
 // relation later grows back to its length with different tuples.
 func (r *Relation) Truncate(n int) {
-	if n < 0 || n >= len(r.tuples) {
+	if n < 0 || n >= r.Len() {
 		return
 	}
-	r.tuples = r.tuples[:n]
 	for _, c := range r.cols {
 		c.codes = c.codes[:n]
 		c.version++
@@ -255,10 +272,10 @@ func (r *Relation) Truncate(n int) {
 // bit for bit, including kind-mismatched cells an unchecked Set put
 // there, or its dictionary codes (and therefore its group keys) would
 // diverge from the coordinator's. The tuple must have the schema's
-// arity; everything else is the caller's contract.
+// arity; everything else is the caller's contract. Like Insert, it keeps
+// the codes and not the slice.
 func (r *Relation) InsertUnchecked(t Tuple) int {
-	tid := len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	tid := r.Len()
 	for i, v := range t {
 		c := r.cols[i]
 		c.codes = append(c.codes, r.intern(i, v))
@@ -313,7 +330,6 @@ func (r *Relation) Set(tid, attr int, v Value) {
 	v = r.coerce(attr, v)
 	code := r.intern(attr, v)
 	c := r.cols[attr]
-	r.tuples[tid][attr] = v
 	if c.codes[tid] == code {
 		return
 	}
@@ -354,9 +370,10 @@ func (r *Relation) PatchesSince(attr int, since uint64) ([]CellPatch, bool) {
 	return c.patchLog[since-base:], true
 }
 
-// Get reads a single cell.
+// Get reads a single cell: the representative value of its code.
 func (r *Relation) Get(tid, attr int) Value {
-	return r.tuples[tid][attr]
+	c := r.cols[attr]
+	return c.values[c.codes[tid]]
 }
 
 // Code returns the dense dictionary code of cell (tid, attr). Two cells
@@ -516,13 +533,9 @@ func (r *Relation) CodeRanks(attr int) []int32 { return r.codeRanks(attr) }
 func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		schema:  r.schema,
-		tuples:  make([]Tuple, len(r.tuples)),
 		cols:    make([]*column, len(r.cols)),
 		version: r.version,
 		appends: r.appends,
-	}
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
 	}
 	for i := range r.cols {
 		out.cols[i] = r.cols[i].clone()
@@ -533,7 +546,7 @@ func (r *Relation) Clone() *Relation {
 // Select returns the TIDs of tuples satisfying pred.
 func (r *Relation) Select(pred func(Tuple) bool) []int {
 	var out []int
-	for tid, t := range r.tuples {
+	for tid, t := range r.Tuples() {
 		if pred(t) {
 			out = append(out, tid)
 		}
@@ -543,22 +556,17 @@ func (r *Relation) Select(pred func(Tuple) bool) []int {
 
 // Distinct returns the number of distinct full tuples.
 func (r *Relation) Distinct() int {
-	seen := make(map[string]struct{}, len(r.tuples))
-	for _, t := range r.tuples {
+	seen := make(map[string]struct{}, r.Len())
+	for _, t := range r.Tuples() {
 		seen[t.FullKey()] = struct{}{}
 	}
 	return len(seen)
 }
 
-// applyPermutation reorders tuples so that new position i holds old
-// position perm[i], updating every code column and bumping all versions
+// applyPermutation reorders rows so that new position i holds old
+// position perm[i], permuting every code column and bumping all versions
 // (TIDs are renumbered, so every index is stale).
 func (r *Relation) applyPermutation(perm []int) {
-	tuples := make([]Tuple, len(perm))
-	for i, p := range perm {
-		tuples[i] = r.tuples[p]
-	}
-	r.tuples = tuples
 	for a := range r.cols {
 		c := r.cols[a]
 		codes := make([]int32, len(perm))
@@ -586,21 +594,23 @@ func (r *Relation) SortBy(idxs []int) {
 	})
 }
 
-// SortStable stably sorts tuples by an arbitrary comparator, keeping the
-// columnar codes in sync. TIDs are renumbered.
+// SortStable stably sorts tuples by an arbitrary comparator (called on
+// copies of the rows) and permutes the code columns to match. TIDs are
+// renumbered.
 func (r *Relation) SortStable(less func(a, b Tuple) bool) {
-	perm := make([]int, len(r.tuples))
+	rows := r.Tuples()
+	perm := make([]int, len(rows))
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return less(r.tuples[perm[i]], r.tuples[perm[j]]) })
+	sort.SliceStable(perm, func(i, j int) bool { return less(rows[perm[i]], rows[perm[j]]) })
 	r.applyPermutation(perm)
 }
 
 // Head renders the first n tuples as an aligned text table for display.
 func (r *Relation) Head(n int) string {
-	if n > len(r.tuples) {
-		n = len(r.tuples)
+	if n > r.Len() {
+		n = r.Len()
 	}
 	names := r.schema.Names()
 	widths := make([]int, len(names))
@@ -610,8 +620,8 @@ func (r *Relation) Head(n int) string {
 	rows := make([][]string, n)
 	for i := 0; i < n; i++ {
 		row := make([]string, len(names))
-		for j, v := range r.tuples[i] {
-			row[j] = v.String()
+		for j := range row {
+			row[j] = r.Get(i, j).String()
 			if len(row[j]) > widths[j] {
 				widths[j] = len(row[j])
 			}
@@ -635,8 +645,8 @@ func (r *Relation) Head(n int) string {
 	for _, row := range rows {
 		writeRow(row)
 	}
-	if n < len(r.tuples) {
-		fmt.Fprintf(&b, "... (%d more tuples)\n", len(r.tuples)-n)
+	if n < r.Len() {
+		fmt.Fprintf(&b, "... (%d more tuples)\n", r.Len()-n)
 	}
 	return b.String()
 }

@@ -68,7 +68,7 @@ func BuildPLISharded(r *Relation, attrs []int, shards int) *PLI {
 // out over up to `shards` workers; byte-identical to intersect(y), and
 // serial for shards <= 1.
 func (p *PLI) IntersectSharded(y, shards int) *PLI {
-	p.Compact()
+	p.compact()
 	r := p.rel
 	out := &PLI{
 		rel:       r,

@@ -37,7 +37,7 @@ func (r *Relation) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [24]byte
 	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(r.tuples)))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(r.Len()))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(r.cols)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
@@ -120,15 +120,6 @@ func ReadSnapshot(b []byte, schema *Schema) (*Relation, error) {
 	}
 	if off != int64(len(b)) {
 		return nil, fmt.Errorf("relation: snapshot has %d trailing bytes", int64(len(b))-off)
-	}
-	r.tuples = make([]Tuple, n)
-	for tid := range r.tuples {
-		t := make(Tuple, arity)
-		for a := 0; a < int(arity); a++ {
-			c := r.cols[a]
-			t[a] = c.values[c.codes[tid]]
-		}
-		r.tuples[tid] = t
 	}
 	r.appends = uint64(n)
 	return r, nil

@@ -3,7 +3,9 @@ package relation
 import "strings"
 
 // Tuple is an ordered list of values conforming to some schema. Tuples
-// are plain slices; cloning is explicit.
+// are plain slices; cloning is explicit. A Relation stores no tuples —
+// a row is its per-column codes — so Relation.Tuple and Relation.Tuples
+// build fresh ones, and Insert copies a tuple's cells in.
 type Tuple []Value
 
 // Clone returns a deep copy of the tuple.

@@ -1,8 +1,8 @@
 // Package relation provides the typed relational substrate used by every
 // constraint, repair, discovery and matching module in this repository.
 //
-// It implements schemas, typed values, tuples, in-memory relations,
-// hash indexes and CSV import/export. The design goal is a small but
+// It implements schemas, typed values, tuples, in-memory columnar
+// relations, partition indexes and CSV import/export. The design goal is a small but
 // complete core on which the SQL-based detection techniques of
 // Fan et al. (TODS 2008) and the repair algorithms of Cong et al.
 // (VLDB 2007) can be expressed faithfully.

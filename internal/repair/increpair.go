@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"semandaq/internal/cfd"
@@ -47,22 +48,26 @@ func IncInPlace(r *relation.Relation, set *cfd.Set, deltaTIDs []int, opts Option
 	if cache == nil {
 		cache = relation.NewIndexCache()
 	}
-	// Snapshot the delta tuples' original values: only delta cells are
-	// ever written, so this is all the repair needs for cost computation
-	// and the change list.
-	snap := make(map[int]relation.Tuple, len(deltaTIDs))
-	for _, tid := range deltaTIDs {
-		if _, dup := snap[tid]; !dup {
-			snap[tid] = r.Tuple(tid).Clone()
+	tids := slices.Clone(deltaTIDs)
+	slices.Sort(tids)
+	tids = slices.Compact(tids)
+	// Snapshot the delta cells' original codes: only delta cells are ever
+	// written and a code's value never changes, so this is all the repair
+	// needs for cost computation and the change list.
+	arity := r.Schema().Arity()
+	snap := make([]int32, len(tids)*arity)
+	for i, tid := range tids {
+		for a := 0; a < arity; a++ {
+			snap[i*arity+a] = r.Code(tid, a)
 		}
 	}
 	orig := func(tid, attr int) relation.Value {
-		if t, ok := snap[tid]; ok {
-			return t[attr]
+		if i, ok := slices.BinarySearch(tids, tid); ok {
+			return r.CodeValue(attr, snap[i*arity+attr])
 		}
 		return r.Get(tid, attr)
 	}
-	return incRun(r, orig, set, deltaTIDs, opts, cache)
+	return incRun(r, orig, set, tids, opts, cache)
 }
 
 func checkDelta(r *relation.Relation, set *cfd.Set, deltaTIDs []int) error {
@@ -79,23 +84,26 @@ func checkDelta(r *relation.Relation, set *cfd.Set, deltaTIDs []int) error {
 }
 
 // incRun is the shared IncRepair loop: work is mutated in place (delta
-// cells only), orig supplies the pre-repair values of every cell, and
-// cache serves the per-CFD X-partitions across passes.
-func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, set *cfd.Set, deltaTIDs []int, opts Options, cache *relation.IndexCache) (*Result, error) {
+// cells only, tids ascending and distinct), orig supplies the pre-repair
+// values of every cell, and cache serves the per-CFD X-partitions across
+// passes.
+func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, set *cfd.Set, tids []int, opts Options, cache *relation.IndexCache) (*Result, error) {
 	opts = opts.withDefaults()
-	isDelta := make(map[int]bool, len(deltaTIDs))
-	for _, tid := range deltaTIDs {
+	isDelta := make(map[int]bool, len(tids))
+	for _, tid := range tids {
 		isDelta[tid] = true
 	}
 
 	arity := work.Schema().Arity()
 
 	// Cell classes restricted to delta cells; base cells are constants.
-	// We key the union-find by delta cell ids mapped densely.
-	deltaIdx := make(map[int]int, len(isDelta)*arity) // cellID -> dense id
+	// We key the union-find by delta cell ids mapped densely, in
+	// ascending (TID, attr) order: materialize lists a class's members in
+	// that order, so a cost tie goes to the lowest cell, as in Batch.
+	deltaIdx := make(map[int]int, len(tids)*arity) // cellID -> dense id
 	var denseCells []int
 	cellID := func(tid, attr int) int { return tid*arity + attr }
-	for tid := range isDelta {
+	for _, tid := range tids {
 		for a := 0; a < arity; a++ {
 			deltaIdx[cellID(tid, a)] = len(denseCells)
 			denseCells = append(denseCells, cellID(tid, a))
@@ -128,13 +136,21 @@ func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, se
 	// guard is the algorithm's contract made explicit: IncRepair may
 	// write delta cells ONLY — especially load-bearing now that work can
 	// be a session's live relation (IncInPlace), where a stray base
-	// write would silently corrupt data no rollback removes.
+	// write would silently corrupt data no rollback removes. Classes are
+	// written in the order of their lowest cell, so the patch journal,
+	// and everything downstream of it, is the same on every run.
 	materialize := func() error {
 		members := make(map[int][]int)
+		var roots []int
 		for dense := range denseCells {
-			members[uf.find(dense)] = append(members[uf.find(dense)], dense)
+			root := uf.find(dense)
+			if members[root] == nil {
+				roots = append(roots, root)
+			}
+			members[root] = append(members[root], dense)
 		}
-		for root, cells := range members {
+		for _, root := range roots {
+			cells := members[root]
 			t := targets[root]
 			var v relation.Value
 			switch {
@@ -178,10 +194,10 @@ func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, se
 		var vs []cfd.Violation
 		for _, c := range set.All() {
 			pli := cache.GetDelta(work, c.LHS())
-			vs = append(vs, cfd.IncDetect(work, c, pli, deltaTIDs)...)
+			vs = append(vs, cfd.IncDetect(work, c, pli, tids)...)
 		}
 		if len(vs) == 0 {
-			return finishDelta(work, orig, deltaTIDs, passes+1, opts), nil
+			return finishDelta(work, orig, tids, passes+1, opts), nil
 		}
 		progress := false
 		for _, v := range vs {
@@ -285,20 +301,14 @@ func incRun(work *relation.Relation, orig func(tid, attr int) relation.Value, se
 }
 
 // finishDelta computes the change list and cost by scanning the delta
-// cells only — IncRepair never modifies base cells, so the scan is
-// exhaustive. Changes come out sorted by (TID, Attr) like finish's.
-func finishDelta(work *relation.Relation, orig func(tid, attr int) relation.Value, deltaTIDs []int, passes int, opts Options) *Result {
+// cells only (tids: ascending, distinct) — IncRepair never modifies base
+// cells, so the scan is exhaustive. Changes come out sorted by (TID,
+// Attr) like finish's.
+func finishDelta(work *relation.Relation, orig func(tid, attr int) relation.Value, tids []int, passes int, opts Options) *Result {
 	arity := work.Schema().Arity()
-	tids := append([]int(nil), deltaTIDs...)
-	sort.Ints(tids)
 	var changes []Change
 	cost := 0.0
-	prev := -1
 	for _, tid := range tids {
-		if tid == prev {
-			continue
-		}
-		prev = tid
 		for attr := 0; attr < arity; attr++ {
 			from, to := orig(tid, attr), work.Get(tid, attr)
 			if from.Identical(to) {
@@ -321,7 +331,7 @@ func AppendAndRepair(base *relation.Relation, delta []relation.Tuple, set *cfd.S
 	combined := base.Clone()
 	deltaTIDs := make([]int, 0, len(delta))
 	for _, t := range delta {
-		tid, err := combined.Insert(t.Clone())
+		tid, err := combined.Insert(t)
 		if err != nil {
 			return nil, err
 		}

@@ -774,3 +774,33 @@ func finishFullScan(orig, work *relation.Relation, passes int, opts Options) *Re
 	})
 	return &Result{Repaired: work, Changes: changes, Cost: cost, Passes: passes}
 }
+
+// TestIncCostTieGoesToLowestCell: three appended cells whose values are
+// all at distance 1 from each other tie on cost, and the lowest cell
+// (TID, attr) must win on every run, as in Batch. IncRepair used to
+// number delta cells by ranging over a map, so the winner varied from
+// run to run.
+func TestIncCostTieGoesToLowestCell(t *testing.T) {
+	s, err := relation.StringSchema("t", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := cfd.ParseSet("t([A] -> [B])", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := relation.New(s)
+	base.MustInsert(strTuple("x", "1"))
+	delta := []relation.Tuple{strTuple("y", "p"), strTuple("y", "q"), strTuple("y", "r")}
+	for run := 0; run < 200; run++ {
+		res, err := AppendAndRepair(base, delta, set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tid := 1; tid <= 3; tid++ {
+			if v := res.Repaired.Get(tid, 1).Str(); v != "p" {
+				t.Fatalf("run %d: tuple %d B = %q, want the lowest cell's p", run, tid, v)
+			}
+		}
+	}
+}
