@@ -1,13 +1,8 @@
 GO ?= go
-# bench pipes go test through benchjson; pipefail keeps a failing
-# benchmark from exiting green.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
-# BENCHTIME=1x is the smoke setting (CI); use e.g. BENCHTIME=2s for
-# real measurements.
-BENCHTIME ?= 1x
 
-.PHONY: all check fmt vet build test race race-cache fuzz-smoke loc bench bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill bench-smoke bench-compare bench-all run-daemon
+.PHONY: all check fmt vet build test race race-cache fuzz-smoke loc bench bench-smoke bench-compare bench-all run-daemon
 
 all: check
 
@@ -21,8 +16,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet covers bench/ too: it is a module of its own, so a root-only
+# change that breaks the benchmark's build would pass every root step.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...
@@ -35,8 +33,8 @@ race:
 
 # race-cache re-runs the packages that share PLI caches across
 # goroutines (discovery through engine sessions, concurrent detection,
-# append-time PLI advancement through incremental repair, the
-# TID-range-sharded builds racing appends in
+# append-time PLI advancement through incremental repair, cold builds
+# and refinements racing appends in
 # TestShardedCacheConcurrentBuildAppend, DC detection racing
 # appends and discovery on one shared session cache in
 # TestConcurrentDCDetectAppendDiscover, and tiered-storage demotions
@@ -75,50 +73,10 @@ loc:
 			END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  %s (module)\n", t, mod }'; \
 	done
 
-# bench runs the perf-trajectory benchmarks CI archives on every run:
-# detection (E1 scale sweep, E13 parallel detector) into
-# BENCH_detect.json, the discovery lattice walk (cold FDs, warm
-# session) into BENCH_discovery.json, the streaming append→detect
-# path (incremental PLI advance vs invalidate-and-rebuild) into
-# BENCH_append.json, cold sharded index construction (serial vs
-# TID-range-parallel counting sorts) into BENCH_build.json, and
-# denial-constraint detection (PLI-partitioned dominance sweep vs
-# all-pairs naive) into BENCH_dc.json, and the dirty streaming
-# append→repair→detect path (per-cell PLI patching vs
-# invalidate-and-rebuild, on a chained constraint set where repair
-# writes hit a cached detection partition) into BENCH_repair.json, and
-# tiered index storage (warm 1M-row detection under a budget of an
-# eighth of the resident working set, rebuild-free via segment-file
-# demotions and mmap page-ins) into BENCH_spill.json.
-bench: bench-detect bench-discovery bench-append bench-build bench-dc bench-repair bench-spill
-
-bench-detect:
-	$(GO) test -bench='E1DetectScaleTuples|E13ParallelDetect' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_detect.json
-
-bench-discovery:
-	$(GO) test -bench='DiscoveryFDs|DiscoveryWarmSession' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_discovery.json
-
-bench-append:
-	$(GO) test -bench='AppendDetect' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_append.json
-
-bench-build:
-	$(GO) test -bench='ShardedBuild' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_build.json
-
-bench-dc:
-	$(GO) test -bench='DCDetect|DCRelax' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_dc.json
-
-bench-repair:
-	$(GO) test -bench='RepairPatch' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_repair.json
-
-bench-spill:
-	$(GO) test -bench='SpillDetect' -benchmem -benchtime=$(BENCHTIME) -run '^$$' . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_spill.json
+# bench runs the service benchmark BENCHMARK.json declares: all four
+# workloads, end to end and traced (see bench/README.md).
+bench:
+	bash bench/run.sh
 
 # bench-smoke runs the service benchmark BENCHMARK.json declares
 # (bench/, a module of its own) for three seconds per workload and then
@@ -150,7 +108,8 @@ bench-smoke:
 bench-compare:
 	$(GO) run -C bench . compare $(abspath $(A)) $(abspath $(B))
 
-# bench-all smoke-runs every benchmark once.
+# bench-all runs every testing.B of the root module once, so their
+# output checks (b.Fatal on a diverging or rebuilding path) run in CI.
 bench-all:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 

@@ -5,8 +5,6 @@
 // a segment file and every revival a zero-copy page-in, asserted via
 // the spills/pageins/misses counters — so the gap between the two
 // sub-benchmarks is the cost of tiering, not of recomputation.
-// `make bench-spill` archives the results (with peak RSS from
-// bench_meta_test.go in meta) as BENCH_spill.json.
 package main
 
 import (
@@ -25,7 +23,7 @@ func BenchmarkSpillDetect(b *testing.B) {
 
 	// Measure the resident working set once on a throwaway session: the
 	// bytes the four cached LHS partitions hold after a warm detect.
-	probe, err := engine.NewSession("spill-probe", dirty, set, 0)
+	probe, err := engine.NewSession("spill-probe", dirty, set)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +37,7 @@ func BenchmarkSpillDetect(b *testing.B) {
 	budget := working / 8
 
 	b.Run(fmt.Sprintf("unlimited/n=%d", n), func(b *testing.B) {
-		s, err := engine.NewSession("spill-unlimited", dirty, set, 0)
+		s, err := engine.NewSession("spill-unlimited", dirty, set)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +58,7 @@ func BenchmarkSpillDetect(b *testing.B) {
 		if !relation.MmapSupported() {
 			b.Skip("no mmap on this platform")
 		}
-		s, err := engine.NewSession("spill-budgeted", dirty, set, 0)
+		s, err := engine.NewSession("spill-budgeted", dirty, set)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -423,7 +423,7 @@ func BenchmarkDiscoveryFDs(b *testing.B) {
 // PLI cache should turn every lattice partition into a lookup.
 func BenchmarkDiscoveryWarmSession(b *testing.B) {
 	r := datagen.Cust(20_000, 89)
-	s, err := engine.NewSession("bench", r, nil, 1)
+	s, err := engine.NewSession("bench", r, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func BenchmarkDiscoveryWarmSession(b *testing.B) {
 // rebuild baseline reproduces the pre-advance architecture, where every
 // append cloned the base into a fresh combined relation and every
 // partition was counting-sorted from scratch on the next detect. This
-// is the perf gate for incremental PLI maintenance (BENCH_append.json).
+// is the perf gate for incremental PLI maintenance.
 func BenchmarkAppendDetect(b *testing.B) {
 	const n, deltaSize = 100_000, 100
 	set := datagen.CustConstraints()
@@ -462,7 +462,7 @@ func BenchmarkAppendDetect(b *testing.B) {
 		return out
 	}
 	b.Run(fmt.Sprintf("incremental/n=%d/delta=%d", n, deltaSize), func(b *testing.B) {
-		s, err := engine.NewSession("bench-append", base, set, 0)
+		s, err := engine.NewSession("bench-append", base, set)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func BenchmarkAppendDetect(b *testing.B) {
 // via CacheStats); the rebuild baseline reproduces the pre-patch
 // architecture, where any Set hard-invalidated its column and the next
 // detect counting-sorted the affected partitions from scratch. This is
-// the perf gate for per-cell PLI patching (BENCH_repair.json).
+// the perf gate for per-cell PLI patching.
 func BenchmarkRepairPatch(b *testing.B) {
 	const n, deltaSize = 100_000, 100
 	schema := datagen.CustSchema()
@@ -543,7 +543,7 @@ cfd psi2: cust([CT, ZIP] -> [STR])
 		return out
 	}
 	b.Run(fmt.Sprintf("incremental/n=%d/delta=%d", n, deltaSize), func(b *testing.B) {
-		s, err := engine.NewSession("bench-repair", base, set, 0)
+		s, err := engine.NewSession("bench-repair", base, set)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -587,58 +587,6 @@ cfd psi2: cust([CT, ZIP] -> [STR])
 			}
 		}
 	})
-}
-
-// BenchmarkShardedBuild measures cold partition-index construction,
-// serial vs TID-range-sharded (relation.BuildPLISharded): the
-// first-touch latency of a freshly registered dataset, which the
-// sharded counting sort spreads across cores. Three kernels per size:
-// the raw 3-attribute PLI build (phi2's LHS — the widest detection
-// partition), a cold E1 detect through a sharded detector cache, and a
-// cold discovery.FDs lattice walk on a sharded private cache (serial
-// lattice walk, so the sharding effect is isolated from the level
-// parallelism measured elsewhere). Outputs land in BENCH_build.json;
-// shards=1 is the unchanged pre-sharding serial path.
-func BenchmarkShardedBuild(b *testing.B) {
-	set := datagen.CustConstraints()
-	for _, n := range []int{50_000, 100_000} {
-		dirty, _ := dirtyCust(n, 0.05, 101)
-		schema := dirty.Schema()
-		attrs := []int{schema.MustIndex("CC"), schema.MustIndex("AC"), schema.MustIndex("PN")}
-		// Warm every column's code-rank cache (it lives on the relation
-		// and would otherwise be paid by whichever sub-benchmark runs
-		// first), so serial and sharded measure the same counting-sort
-		// work.
-		if _, err := discovery.FDs(dirty, discovery.Options{MaxLHS: 2}); err != nil {
-			b.Fatal(err)
-		}
-		for _, shards := range []int{1, 4, runtime.NumCPU()} {
-			name := fmt.Sprintf("shards=%d/n=%d", shards, n)
-			b.Run("build/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if p := relation.BuildPLISharded(dirty, attrs, shards); p.NumGroups() == 0 {
-						b.Fatal("empty partition")
-					}
-				}
-			})
-			b.Run("detect/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cache := relation.NewIndexCache()
-					cache.SetShards(shards)
-					if _, err := cfd.NewDetectorWithCache(set, cache).Detect(dirty); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("fds/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := discovery.FDs(dirty, discovery.Options{MaxLHS: 2, Shards: shards}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---

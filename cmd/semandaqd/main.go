@@ -5,18 +5,16 @@
 //
 // Usage:
 //
-//	semandaqd [-addr :8080] [-workers 0] [-shards 0] [-preload 0] [-index-budget-mb 0] [-pprof addr]
+//	semandaqd [-addr :8080] [-preload 0] [-index-budget-mb 0] [-pprof addr]
 //
-// -workers sizes the per-dataset detection worker pool (0 = NumCPU,
-// 1 = serial). -shards sets the PLI build fan-out: cold partition
-// builds run as TID-range-parallel counting sorts across this many
-// shards (0 = GOMAXPROCS, 1 = serial; output is byte-identical either
-// way). -preload N registers two built-in datasets at startup, which
-// makes the quickstart in README.md work with curl alone: "cust", N
-// noisy tuples with its planted CFDs plus the street-determination rule
-// restated as a denial constraint, and "emp", N/10 tuples with planted
-// pay inversions and the pay-scale DC (the demo target for POST
-// /v1/dc/detect and /v1/dc/relax). -index-budget-mb caps each dataset's
+// Detection and discovery fan out over GOMAXPROCS goroutines per
+// request; run under GOMAXPROCS=1 for a serial daemon (output is
+// byte-identical either way). -preload N registers two built-in
+// datasets at startup, which makes the quickstart in README.md work
+// with curl alone: "cust", N noisy tuples with its planted CFDs plus
+// the street-determination rule restated as a denial constraint, and
+// "emp", N/10 tuples with planted pay inversions and the pay-scale DC
+// (the demo target for POST /v1/dc/detect and /v1/dc/relax). -index-budget-mb caps each dataset's
 // PLI cache (discovery lattices evict before detection partitions);
 // 0 keeps every partition resident, and the default -1 derives a budget
 // from the process memory ceiling: GOMEMLIMIT/4 when a limit is set,
@@ -105,8 +103,6 @@ type backend interface {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "detection worker pool size (0 = NumCPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "PLI build shard fan-out (0 = GOMAXPROCS, 1 = serial)")
 	preloadN := flag.Int("preload", 0, "preload a noisy 'cust' dataset of this many tuples")
 	indexBudgetMB := flag.Int64("index-budget-mb", -1, "per-dataset PLI cache budget in MiB (0 = unlimited, -1 = derive from GOMEMLIMIT or total memory)")
 	spillDir := flag.String("spill-dir", "", "directory for tiered index storage: evicted partitions spill to segment files here instead of being discarded (empty = disabled)")
@@ -157,7 +153,7 @@ func main() {
 				log.Printf("index budget derived from memory ceiling: %d MiB per dataset (override with -index-budget-mb)", budget>>20)
 			}
 		}
-		eng := engine.New(engine.Options{Workers: *workers, Shards: *shards, IndexBudgetBytes: budget, SpillDir: *spillDir})
+		eng := engine.New(engine.Options{IndexBudgetBytes: budget, SpillDir: *spillDir})
 		if *spillDir != "" {
 			log.Printf("tiered index storage under %s", *spillDir)
 		}

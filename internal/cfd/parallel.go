@@ -2,16 +2,16 @@ package cfd
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
+	"semandaq/internal/fanout"
 	"semandaq/internal/relation"
 )
 
 // DetectParallel returns exactly what Detect returns — the same
 // violations in the same order — but partitions the work across a pool
-// of `workers` goroutines. Zero (or negative) workers means
-// runtime.NumCPU().
+// of `workers` goroutines. Zero (or negative) workers means the
+// machine's pool (fanout.Workers).
 //
 // Parallelization exploits the grouping structure of CFD detection: a
 // violation is always contained in a single X-group, so each per-CFD
@@ -21,15 +21,9 @@ import (
 // path: workers only read the relation and write disjoint result slots.
 // PLI acquisition for the different CFDs runs concurrently too, through
 // the detector's index cache (which is concurrency-safe), so a warm
-// cache skips the partition phase entirely. On a sharded cache
-// (relation.IndexCache.SetShards — the engine session default) each
-// cold acquisition additionally fans its own counting sort across
-// TID-range shards, so even a single-CFD cold scan uses the whole
-// machine instead of one core per constraint.
+// cache skips the partition phase entirely.
 func (d *Detector) DetectParallel(r *relation.Relation, workers int) ([]Violation, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers = fanout.Workers(workers)
 	cfds := d.set.cfds
 	if workers == 1 || len(cfds) == 0 || r.Len() == 0 {
 		return d.Detect(r)
@@ -41,80 +35,52 @@ func (d *Detector) DetectParallel(r *relation.Relation, workers int) ([]Violatio
 		}
 	}
 
-	// Stage 1: acquire the per-CFD X-partitions concurrently (bounded by
-	// the pool size; index building is the serial fraction of Detect),
-	// and resolve each CFD's constant codes once for all of its chunks.
-	plis := make([]*relation.PLI, len(cfds))
-	preps := make([]cfdPrep, len(cfds))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, c := range cfds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c *CFD) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			plis[i] = d.cache.Get(r, c.lhs)
-			preps[i] = newPrep(r, c)
-		}(i, c)
+	// Stage 1: acquire the per-CFD X-partitions concurrently (index
+	// building is the serial fraction of Detect), and resolve each CFD's
+	// constant codes once for all of its chunks.
+	type acquired struct {
+		pli  *relation.PLI
+		prep cfdPrep
 	}
-	wg.Wait()
+	got := fanout.Map(len(cfds), workers, func(i int) acquired {
+		return acquired{d.cache.Get(r, cfds[i].lhs), newPrep(r, cfds[i])}
+	})
 
-	// Stage 2: fan chunk jobs out to the worker pool. Each CFD's group
-	// range is cut into up to `workers` contiguous chunks so every
-	// worker stays busy even for a single-CFD set.
-	type job struct {
-		cfdIdx, chunkIdx int
-		lo, hi           int
-	}
-	results := make([][][]Violation, len(cfds))
+	// Stage 2: each CFD's group range is cut into up to `workers`
+	// contiguous chunks, so every worker stays busy even for a
+	// single-CFD set. Concatenating the chunks in (CFD, chunk) order
+	// reproduces the serial sorted-group traversal.
+	type job struct{ cfd, lo, hi int }
 	var jobs []job
-	for i := range cfds {
-		n := plis[i].NumGroups()
-		chunks := workers
-		if chunks > n {
-			chunks = n
-		}
-		if chunks == 0 {
-			continue
-		}
-		results[i] = make([][]Violation, chunks)
-		size, rem := n/chunks, n%chunks
-		lo := 0
-		for c := 0; c < chunks; c++ {
-			hi := lo + size
-			if c < rem {
-				hi++
-			}
-			jobs = append(jobs, job{cfdIdx: i, chunkIdx: c, lo: lo, hi: hi})
-			lo = hi
+	for i, a := range got {
+		for _, c := range groupChunks(a.pli.NumGroups(), workers) {
+			jobs = append(jobs, job{i, c[0], c[1]})
 		}
 	}
-	jobCh := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				c := cfds[j.cfdIdx]
-				results[j.cfdIdx][j.chunkIdx] = detectGroupsPrepared(
-					r, c, plis[j.cfdIdx], j.lo, j.hi, preps[j.cfdIdx])
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
+	return slices.Concat(fanout.Map(len(jobs), workers, func(k int) []Violation {
+		j, a := jobs[k], got[jobs[k].cfd]
+		return detectGroupsPrepared(r, cfds[j.cfd], a.pli, j.lo, j.hi, a.prep)
+	})...), nil
+}
 
-	// Deterministic merge: (CFD, chunk) order equals the serial
-	// sorted-group traversal.
-	var out []Violation
-	for _, perCFD := range results {
-		for _, vs := range perCFD {
-			out = append(out, vs...)
-		}
+// groupChunks cuts the group range [0, n) into min(chunks, n)
+// contiguous [lo, hi) ranges, in order, whose sizes differ by at most
+// one.
+func groupChunks(n, chunks int) [][2]int {
+	chunks = min(chunks, n)
+	if chunks <= 0 {
+		return nil
 	}
-	return out, nil
+	out := make([][2]int, chunks)
+	size, rem := n/chunks, n%chunks
+	lo := 0
+	for k := range out {
+		hi := lo + size
+		if k < rem {
+			hi++
+		}
+		out[k] = [2]int{lo, hi}
+		lo = hi
+	}
+	return out
 }

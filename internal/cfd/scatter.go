@@ -2,11 +2,10 @@ package cfd
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
+	"semandaq/internal/fanout"
 	"semandaq/internal/relation"
 )
 
@@ -71,11 +70,9 @@ type ShardResult struct {
 // returning one ShardResult per CFD in set order. It is Detect
 // restructured to keep per-group attribution: same PLIs (through cache),
 // same prepared fast paths, same emission order within each group.
-// workers parallelizes the group scan like DetectParallel (0 = NumCPU).
+// workers parallelizes the group scan like DetectParallel (0 = the
+// machine's pool).
 func DetectShards(r *relation.Relation, set *Set, cache *relation.IndexCache, workers int) ([]ShardResult, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	if cache == nil {
 		cache = relation.NewIndexCache()
 	}
@@ -87,37 +84,10 @@ func DetectShards(r *relation.Relation, set *Set, cache *relation.IndexCache, wo
 		}
 		pli := cache.Get(r, c.lhs)
 		prep := newPrep(r, c)
-		n := pli.NumGroups()
-		chunks := workers
-		if chunks > n {
-			chunks = n
-		}
-		if chunks <= 1 {
-			out[i] = ShardResult{Groups: scanGroups(r, c, pli, 0, n, prep)}
-			continue
-		}
-		parts := make([][]ShardGroup, chunks)
-		size, rem := n/chunks, n%chunks
-		var wg sync.WaitGroup
-		lo := 0
-		for k := 0; k < chunks; k++ {
-			hi := lo + size
-			if k < rem {
-				hi++
-			}
-			wg.Add(1)
-			go func(k, lo, hi int) {
-				defer wg.Done()
-				parts[k] = scanGroups(r, c, pli, lo, hi, prep)
-			}(k, lo, hi)
-			lo = hi
-		}
-		wg.Wait()
-		var groups []ShardGroup
-		for _, p := range parts {
-			groups = append(groups, p...)
-		}
-		out[i] = ShardResult{Groups: groups}
+		chunks := groupChunks(pli.NumGroups(), fanout.Workers(workers))
+		out[i] = ShardResult{Groups: slices.Concat(fanout.Map(len(chunks), len(chunks), func(k int) []ShardGroup {
+			return scanGroups(r, c, pli, chunks[k][0], chunks[k][1], prep)
+		})...)}
 	}
 	return out, nil
 }

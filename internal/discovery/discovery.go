@@ -20,10 +20,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"semandaq/internal/cfd"
+	"semandaq/internal/fanout"
 	"semandaq/internal/pattern"
 	"semandaq/internal/relation"
 )
@@ -42,20 +41,12 @@ type Options struct {
 	Cache *relation.IndexCache
 	// Workers fans the independent per-set refinements of each lattice
 	// level out over this many goroutines (the cache is concurrency-
-	// safe); 0 or 1 walks serially. The output is byte-identical either
-	// way: per-set results are reduced in lexicographic order, and the
-	// minimality/generalization pruning only ever consults strictly
-	// smaller attribute sets, which are settled before a level starts.
-	// engine.Session.Discover defaults this to the session's worker
-	// pool (runtime.NumCPU()).
+	// safe); 0 means the machine's pool (fanout.Workers), 1 walks
+	// serially. The output is byte-identical either way: per-set results
+	// are reduced in lexicographic order, and the minimality/
+	// generalization pruning only ever consults strictly smaller
+	// attribute sets, which are settled before a level starts.
 	Workers int
-	// Shards is the PLI build fan-out applied to the PRIVATE cache a
-	// nil Cache creates: each cold partition build or refinement of the
-	// lattice walk runs as a TID-range-parallel counting sort across
-	// this many shards (relation.IndexCache.SetShards; byte-identical
-	// to serial). A caller-supplied Cache keeps its own setting — an
-	// engine session's cache is configured by the session.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -67,49 +58,8 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cache == nil {
 		o.Cache = relation.NewIndexCache()
-		if o.Shards != 0 {
-			o.Cache.SetShards(o.Shards)
-		}
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
-}
-
-// mapLevel applies fn to every attribute set of one lattice level,
-// fanning the independent computations over workers goroutines.
-// Results come back indexed by position, so callers reduce them in
-// deterministic lexicographic order regardless of scheduling;
-// workers <= 1 degrades to the plain serial loop.
-func mapLevel[T any](sets [][]int, workers int, fn func(x []int) T) []T {
-	out := make([]T, len(sets))
-	if workers > len(sets) {
-		workers = len(sets)
-	}
-	if workers <= 1 {
-		for i, x := range sets {
-			out[i] = fn(x)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sets) {
-					return
-				}
-				out[i] = fn(sets[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // warmLevel materializes a level's own partitions (parallel GetVia)
@@ -119,8 +69,8 @@ func mapLevel[T any](sets [][]int, workers int, fn func(x []int) T) []T {
 // This keeps the parallel walk's from-scratch builds bounded by the
 // arity, exactly like the serial walk.
 func warmLevel(r *relation.Relation, cache *relation.IndexCache, sets [][]int, workers int) {
-	mapLevel(sets, workers, func(x []int) struct{} {
-		cache.GetVia(r, x)
+	fanout.Map(len(sets), workers, func(i int) struct{} {
+		cache.GetVia(r, sets[i])
 		return struct{}{}
 	})
 }
@@ -183,7 +133,8 @@ func FDs(r *relation.Relation, opts Options) ([]*cfd.CFD, error) {
 		// (minimal-FD pruning only consults strictly smaller LHS sets —
 		// two same-size sets can never be subsets of each other), so fan
 		// them out and reduce in lexicographic order.
-		holds := mapLevel(level, opts.Workers, func(x []int) []int {
+		holds := fanout.Map(len(level), opts.Workers, func(i int) []int {
+			x := level[i]
 			gx := groupsOf(x)
 			var as []int
 			for a := 0; a < arity; a++ {
@@ -279,7 +230,8 @@ func ConstantCFDs(r *relation.Relation, opts Options) ([]*cfd.CFD, error) {
 		// strictly smaller sets (a direct generalization drops one
 		// attribute), and emitted is only written at the level barrier
 		// below — so workers read a settled map.
-		found := mapLevel(level, opts.Workers, func(x []int) []candidate {
+		found := fanout.Map(len(level), opts.Workers, func(i int) []candidate {
+			x := level[i]
 			pli := opts.Cache.GetVia(r, x)
 			var cands []candidate
 			// PLI groups arrive in sorted encoded-key order — exactly the
@@ -374,7 +326,8 @@ func VariableCFDs(r *relation.Relation, opts Options) ([]*cfd.CFD, error) {
 			continue // a condition needs one attr, the FD another
 		}
 		warmLevel(r, opts.Cache, level, opts.Workers)
-		found := mapLevel(level, opts.Workers, func(x []int) []rule {
+		found := fanout.Map(len(level), opts.Workers, func(i int) []rule {
+			x := level[i]
 			pliX := opts.Cache.GetVia(r, x)
 			var rules []rule
 			for a := 0; a < arity; a++ {

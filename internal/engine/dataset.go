@@ -102,9 +102,8 @@ type Storage struct {
 	// still without rebuilds. When those appends are dirty, the repair's
 	// cell writes drain into cached partitions as per-cell patches and
 	// grow patches instead of invalidating anything. evictions moves
-	// only under a configured cache byte budget, and shard_builds counts
-	// the cold builds that ran the TID-range-parallel counting sort
-	// (-shards). Under tiered storage (-spill-dir) spills counts
+	// only under a configured cache byte budget. Under tiered storage
+	// (-spill-dir) spills counts
 	// demotions of clean partitions to segment files in place of
 	// evictions, and pageins counts the mmap-backed revivals that made
 	// the next touch rebuild-free.

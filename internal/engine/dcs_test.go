@@ -12,7 +12,7 @@ import (
 )
 
 func TestSessionDCLifecycle(t *testing.T) {
-	eng := New(Options{Workers: 1})
+	eng := New(Options{})
 	data := datagen.Emp(600, 8, 11)
 	if _, err := eng.Register("emp", data); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestSessionDCLifecycle(t *testing.T) {
 // for the DC path (make race-cache runs this with -race -count=2).
 func TestConcurrentDCDetectAppendDiscover(t *testing.T) {
 	base := datagen.Emp(1_500, 0, 31)
-	s, err := NewSession("dcrace", base, nil, 0)
+	s, err := NewSession("dcrace", base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func openDurable(t *testing.T, dir string) (*Engine, *wal.Manager, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	snaps, replayed, err := m.Recover(e)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -417,7 +417,7 @@ func TestRecoverSkipsOrphanRecords(t *testing.T) {
 	if err := m.LogDrop("ghost"); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	if _, _, err := m.Recover(e); err != nil {
 		t.Fatalf("recover with orphan records: %v", err)
 	}

@@ -36,15 +36,6 @@ const maxCachedSets = 256
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the detection worker-pool size handed to every
-	// session: 0 means runtime.NumCPU(), 1 forces serial detection.
-	Workers int
-	// Shards is the PLI build fan-out handed to every session's index
-	// cache: cold partition builds and refinements split their
-	// counting-sort passes across this many TID-range shards
-	// (byte-identical output; see relation.BuildPLISharded). 0 means
-	// runtime.GOMAXPROCS(0), 1 forces serial builds.
-	Shards int
 	// IndexBudgetBytes caps every session's PLI cache at this resident
 	// byte estimate (0 = unlimited). Discovery lattices otherwise pin
 	// C(arity, MaxLHS+1) partitions per dataset for the session's
@@ -68,8 +59,6 @@ type Options struct {
 type Engine struct {
 	registry[*Session]
 	*compiler
-	workers     int
-	shards      int
 	indexBudget int64
 	spillDir    string
 }
@@ -79,8 +68,6 @@ func New(opts Options) *Engine {
 	return &Engine{
 		registry:    newRegistry[*Session](),
 		compiler:    newCompiler(),
-		workers:     opts.Workers,
-		shards:      opts.Shards,
 		indexBudget: opts.IndexBudgetBytes,
 		spillDir:    opts.SpillDir,
 	}
@@ -106,12 +93,11 @@ func (e *Engine) Add(name string, data *relation.Relation) (Dataset, error) {
 // of a reused name from colliding with files still mapped by in-flight
 // requests on the dropped session).
 func (e *Engine) open(name string, data *relation.Relation, j Journal) (*Session, error) {
-	s, err := NewSession(name, data, nil, e.workers)
+	s, err := NewSession(name, data, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.sets, s.journal = e.compiler, j
-	s.SetShards(e.shards)
 	if e.indexBudget > 0 {
 		s.SetIndexBudget(e.indexBudget)
 	}

@@ -44,7 +44,7 @@ func reportsOf(res *DCResult, _ error) []DCReport { return res.Reports }
 
 func newSession(t testing.TB, n int, seed int64) *Session {
 	t.Helper()
-	s, err := NewSession("test", dirtyCust(t, n, seed), datagen.CustConstraints(), 0)
+	s, err := NewSession("test", dirtyCust(t, n, seed), datagen.CustConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestEditConfirmWeights(t *testing.T) {
 
 func TestAppendIncremental(t *testing.T) {
 	base := datagen.Cust(2_000, 13)
-	s, err := NewSession("inc", base, datagen.CustConstraints(), 0)
+	s, err := NewSession("inc", base, datagen.CustConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestAppendIncremental(t *testing.T) {
 // no column version moves.
 func TestSessionAppendAdvancesNotRebuilds(t *testing.T) {
 	base := datagen.Cust(100_000, 31)
-	s, err := NewSession("append-warm", base, datagen.CustConstraints(), 0)
+	s, err := NewSession("append-warm", base, datagen.CustConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestSessionAppendAdvancesNotRebuilds(t *testing.T) {
 // the property; a cell Edit still invalidates.
 func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 	base := datagen.Cust(3_000, 43)
-	s, err := NewSession("clean-append", base, datagen.CustConstraints(), 0)
+	s, err := NewSession("clean-append", base, datagen.CustConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestSessionAppendRollback(t *testing.T) {
 // result coherent. Run via `make race-cache` (-race -count=2).
 func TestConcurrentAppendDetectDiscover(t *testing.T) {
 	base := datagen.Cust(2_000, 27)
-	s, err := NewSession("conc", base, datagen.CustConstraints(), 0)
+	s, err := NewSession("conc", base, datagen.CustConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestConcurrentAppendDetectDiscover(t *testing.T) {
 
 func TestDiscoverInstall(t *testing.T) {
 	clean := datagen.Cust(500, 21)
-	s, err := NewSession("disc", clean, nil, 0)
+	s, err := NewSession("disc", clean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestNewSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSession("x", data, cfd.NewSet(other), 0); err == nil {
+	if _, err := NewSession("x", data, cfd.NewSet(other)); err == nil {
 		t.Error("schema mismatch should fail")
 	}
 	bad, err := cfd.ParseSet(`
@@ -704,7 +704,7 @@ cfd b: cust([CC] -> [CT='y'])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSession("x", data, bad, 0); err == nil {
+	if _, err := NewSession("x", data, bad); err == nil {
 		t.Error("unsatisfiable set should fail")
 	}
 }

@@ -23,7 +23,7 @@ import (
 // would distort the measurement, hence the build tag.)
 func TestAppendHeapPerRow(t *testing.T) {
 	const rows, maxBytesPerRow = 50000, 450
-	s, err := NewSession("cust", datagen.Cust(2000, 1), nil, 0)
+	s, err := NewSession("cust", datagen.Cust(2000, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

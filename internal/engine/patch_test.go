@@ -55,7 +55,7 @@ func corruptCT(base *relation.Relation, round, count int) []relation.Tuple {
 // patched-partition detection result equals a cold run.
 func TestAppendRepairDetectPatchesNotRebuilds(t *testing.T) {
 	base := datagen.Cust(10_000, 61)
-	s, err := NewSession("patch-warm", base, chainedCustConstraints(t), 0)
+	s, err := NewSession("patch-warm", base, chainedCustConstraints(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 	ct := base.Schema().MustIndex("CT")
 	// Plant one base violation: a CT outside its region tableau row.
 	base.Set(5, ct, relation.String("zzz-planted"))
-	s, err := NewSession("dirty-base", base, chainedCustConstraints(t), 0)
+	s, err := NewSession("dirty-base", base, chainedCustConstraints(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAppendKeepsNonEmptyViolationCache(t *testing.T) {
 // compaction race, with patches instead of appends as the mutator.
 func TestConcurrentDirtyAppendDetectDiscover(t *testing.T) {
 	base := datagen.Cust(2_000, 83)
-	s, err := NewSession("patch-conc", base, chainedCustConstraints(t), 0)
+	s, err := NewSession("patch-conc", base, chainedCustConstraints(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -46,12 +45,11 @@ const ConfirmedWeight = 1e6
 // (Edit, Accept, Append, SetConstraints) serialize behind the write
 // lock and bump an internal version that invalidates stale caches.
 type Session struct {
-	mu      sync.RWMutex
-	name    string
-	data    *relation.Relation
-	set     *cfd.Set
-	dcs     *dc.Set
-	workers int
+	mu   sync.RWMutex
+	name string
+	data *relation.Relation
+	set  *cfd.Set
+	dcs  *dc.Set
 
 	// indexes caches the X-partition PLIs of the session's dataset keyed
 	// by attribute set, shared by detection AND discovery (Discover
@@ -133,11 +131,9 @@ func (c *cachedViolations) drop() { c.list, c.valid = nil, false }
 
 // NewSession opens a session over a private clone of data. The
 // constraint set must match the data's schema and be satisfiable (an
-// unsatisfiable set cannot be repaired to). workers configures parallel
-// detection: 0 means runtime.NumCPU(), 1 forces serial. The PLI build
-// fan-out of the session's index cache mirrors the pool (0 = NumCPU,
-// 1 = serial); SetShards overrides it independently.
-func NewSession(name string, data *relation.Relation, set *cfd.Set, workers int) (*Session, error) {
+// unsatisfiable set cannot be repaired to). Detection and discovery fan
+// out over the machine's pool (fanout.Workers).
+func NewSession(name string, data *relation.Relation, set *cfd.Set) (*Session, error) {
 	if set == nil {
 		set = cfd.NewSet(data.Schema())
 	}
@@ -149,13 +145,11 @@ func NewSession(name string, data *relation.Relation, set *cfd.Set, workers int)
 		data:      data.Clone(),
 		set:       set,
 		dcs:       dc.NewSet(data.Schema()),
-		workers:   workers,
 		indexes:   relation.NewIndexCache(),
 		confirmed: map[[2]int]bool{},
 		sets:      newCompiler(),
 		version:   sessionVersion.Add(1),
 	}
-	s.indexes.SetShards(workers)
 	return s, nil
 }
 
@@ -310,7 +304,7 @@ func (s *Session) detect() ([]cfd.Violation, uint64, error) {
 	// readers still proceed in parallel.
 	s.mu.RLock()
 	ver := s.version
-	vs, err := cfd.NewDetectorWithCache(s.set, s.indexes).DetectParallel(s.data, s.workers)
+	vs, err := cfd.NewDetectorWithCache(s.set, s.indexes).DetectParallel(s.data, 0)
 	s.mu.RUnlock()
 	if err != nil {
 		return nil, 0, err
@@ -340,13 +334,6 @@ func (s *Session) IndexStats() relation.CacheStats {
 // Deep discovery-lattice partitions are evicted before the shallow
 // detection partitions the service reuses on every request.
 func (s *Session) SetIndexBudget(bytes int64) { s.indexes.SetBudget(bytes) }
-
-// SetShards sets the PLI build fan-out of the session's index cache:
-// cold partition builds and refinements run as TID-range-parallel
-// counting sorts across this many shards, byte-identical to serial
-// (relation.IndexCache.SetShards). 0 means runtime.GOMAXPROCS(0), 1
-// forces serial builds.
-func (s *Session) SetShards(n int) { s.indexes.SetShards(n) }
 
 // SetSpill attaches a spill store to the session: budget evictions of
 // clean cached PLIs demote to segment files in it and page back in via
@@ -688,17 +675,11 @@ func (s *Session) deltaClean(deltaTIDs []int) bool {
 // checks). The lattice walk runs on the session's per-dataset PLI
 // cache, so a warm session (repeated discovery, or discovery after
 // detection, over unchanged data) partitions nothing; within each
-// lattice level the independent refinements fan out over the session's
-// worker pool (opts.Workers left zero defaults to the session workers,
-// i.e. runtime.NumCPU()).
+// lattice level the independent refinements fan out over opts.Workers
+// goroutines (0, the default, is the machine's pool).
 func (s *Session) Discover(opts discovery.Options, install bool) ([]*cfd.CFD, error) {
 	s.mu.RLock()
 	opts.Cache = s.indexes
-	if opts.Workers == 0 {
-		if opts.Workers = s.workers; opts.Workers <= 0 {
-			opts.Workers = runtime.NumCPU()
-		}
-	}
 	found, err := discovery.Discover(s.data, opts)
 	s.mu.RUnlock()
 	if err != nil {

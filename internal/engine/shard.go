@@ -44,7 +44,7 @@ func (s *Session) ShardDetect(set *cfd.Set) ([]cfd.ShardResult, error) {
 	if set == nil {
 		set = s.set
 	}
-	return cfd.DetectShards(s.data, set, s.indexes, s.workers)
+	return cfd.DetectShards(s.data, set, s.indexes, 0)
 }
 
 // ShardGroups answers the coordinator's boundary fetch — every CFD's

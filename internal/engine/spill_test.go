@@ -43,7 +43,7 @@ func TestEngineSpillLifecycle(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	root := t.TempDir()
-	e := New(Options{Workers: 1, SpillDir: root, IndexBudgetBytes: 1})
+	e := New(Options{SpillDir: root, IndexBudgetBytes: 1})
 	s, err := e.Register("spill-ds", datagen.Cust(2_000, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestConcurrentSpillDemoteDirtyAppend(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	base := datagen.Cust(2_000, 89)
-	s, err := NewSession("spill-conc", base, chainedCustConstraints(t), 0)
+	s, err := NewSession("spill-conc", base, chainedCustConstraints(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,11 +44,6 @@ type CacheStats struct {
 	// Refines stay flat, which is the "paging, not thrashing" assertion
 	// BenchmarkSpillDetect makes.
 	Pageins uint64 `json:"pageins"`
-	// ShardBuilds counts the builds and refines that actually ran the
-	// TID-range-parallel counting sort (SetShards > 1 AND a relation
-	// large enough to feed the fan-out) — the observability hook for
-	// "cold builds use the worker pool, warm traffic builds nothing".
-	ShardBuilds uint64 `json:"shard_builds"`
 }
 
 // cacheEntry wraps a cached PLI with its recency tick and last-measured
@@ -108,22 +102,15 @@ type IndexCache struct {
 	spill   *SpillStore
 	spilled map[string]*spillRecord
 
-	// shards is the fan-out every from-scratch build and refinement of
-	// this cache runs with (BuildPLISharded/IntersectSharded); 1 (the
-	// default) is the serial path. Atomic so SetShards never contends
-	// with the lookup fast path.
-	shards atomic.Int32
-
-	tick        atomic.Uint64
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	refines     atomic.Uint64
-	advances    atomic.Uint64
-	patches     atomic.Uint64
-	evictions   atomic.Uint64
-	spills      atomic.Uint64
-	pageins     atomic.Uint64
-	shardBuilds atomic.Uint64
+	tick      atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	refines   atomic.Uint64
+	advances  atomic.Uint64
+	patches   atomic.Uint64
+	evictions atomic.Uint64
+	spills    atomic.Uint64
+	pageins   atomic.Uint64
 }
 
 // NewIndexCache creates an empty cache with no byte budget.
@@ -160,49 +147,11 @@ func (c *IndexCache) SetBudget(bytes int64) {
 	c.budget.Store(bytes)
 }
 
-// SetShards sets the shard fan-out of the cache's index builds: every
-// cache miss (BuildPLISharded) and refinement (IntersectSharded) splits
-// its counting-sort passes across up to n workers, with byte-identical
-// output to the serial build. n <= 0 means runtime.GOMAXPROCS(0), 1
-// (the default) forces the serial path. Relations too small to feed the
-// fan-out fall back to serial regardless (see effectiveShards), so the
-// knob is safe to leave at NumCPU for mixed dataset sizes.
-func (c *IndexCache) SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	c.shards.Store(int32(n))
-}
-
-// buildShards returns the configured fan-out (1 when unset).
-func (c *IndexCache) buildShards() int {
-	if s := c.shards.Load(); s > 1 {
-		return int(s)
-	}
-	return 1
-}
-
-// build runs a from-scratch sharded build, counting it as a shard build
-// when the fan-out actually engaged.
-func (c *IndexCache) build(r *Relation, attrs []int) *PLI {
-	s := c.buildShards()
-	if effectiveShards(r.Len(), s) > 1 {
-		c.shardBuilds.Add(1)
-	}
-	return BuildPLISharded(r, attrs, s)
-}
-
-// refine runs a sharded parent refinement, counting it as a shard build
-// when the fan-out actually engaged. The caller guarantees the parent
-// is fresh for r (GetVia catches it up first), so r.Len() is the
-// parent's row count.
-func (c *IndexCache) refine(r *Relation, parent *PLI, y int) *PLI {
-	s := c.buildShards()
-	if effectiveShards(r.Len(), s) > 1 {
-		c.shardBuilds.Add(1)
-	}
-	return parent.IntersectSharded(y, s)
-}
+// SetShards does nothing: index builds are serial counting sorts.
+//
+// Deprecated: kept so older callers still compile; there is no build
+// fan-out to set.
+func (c *IndexCache) SetShards(int) {}
 
 func attrsKey(attrs []int) string {
 	buf := make([]byte, 0, 4*len(attrs))
@@ -239,7 +188,7 @@ func (c *IndexCache) lookup(r *Relation, attrs []int, compact bool) *PLI {
 	if p := c.cached(r, key, compact, true); p != nil {
 		return p
 	}
-	p := c.build(r, attrs)
+	p := BuildPLI(r, attrs)
 	c.misses.Add(1)
 	c.store(r, key, p)
 	return p
@@ -352,12 +301,12 @@ func (c *IndexCache) GetVia(r *Relation, attrs []int) *PLI {
 		// A demoted parent is still one refinement away from the answer:
 		// cached pages it in rather than fall back to a full build.
 		if parent := c.cached(r, attrsKey(attrs[:len(attrs)-1]), true, false); parent != nil {
-			p = c.refine(r, parent, attrs[len(attrs)-1])
+			p = parent.intersect(attrs[len(attrs)-1])
 			c.refines.Add(1)
 		}
 	}
 	if p == nil {
-		p = c.build(r, attrs)
+		p = BuildPLI(r, attrs)
 		c.misses.Add(1)
 	}
 	c.store(r, key, p)
@@ -537,15 +486,14 @@ func (c *IndexCache) demoteLocked(key string, e *cacheEntry) bool {
 // Stats returns the cache's counters.
 func (c *IndexCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Refines:     c.refines.Load(),
-		Advances:    c.advances.Load(),
-		Patches:     c.patches.Load(),
-		Evictions:   c.evictions.Load(),
-		Spills:      c.spills.Load(),
-		Pageins:     c.pageins.Load(),
-		ShardBuilds: c.shardBuilds.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Refines:   c.refines.Load(),
+		Advances:  c.advances.Load(),
+		Patches:   c.patches.Load(),
+		Evictions: c.evictions.Load(),
+		Spills:    c.spills.Load(),
+		Pageins:   c.pageins.Load(),
 	}
 }
 

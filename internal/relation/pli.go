@@ -132,11 +132,35 @@ func (o *overlay) delta(g int32, nb int) *groupDelta {
 // component decides the concatenated string comparison as well —
 // component-wise order IS the sorted order of HashIndex.Keys(). Tests
 // assert this on randomized relations.
-//
-// BuildPLI is the serial build; BuildPLISharded (shard.go) fans the
-// counting-sort passes over a worker pool with byte-identical output.
 func BuildPLI(r *Relation, attrs []int) *PLI {
-	return buildPLI(r, attrs, 1)
+	p := &PLI{
+		rel:       r,
+		attrs:     slices.Clone(attrs),
+		colVers:   make([]uint64, len(attrs)),
+		patchVers: make([]uint64, len(attrs)),
+	}
+	for i, a := range attrs {
+		p.colVers[i] = r.ColumnVersion(a)
+		p.patchVers[i] = r.PatchVersion(a)
+	}
+	n := r.Len()
+	if n == 0 {
+		p.pliBase = newPLIBase(nil, []int32{0})
+		return p
+	}
+
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	next := make([]int, n)
+	bounds := []int32{0, int32(n)}
+	for _, a := range attrs {
+		bounds = refineBy(r, a, cur, next, bounds)
+		cur, next = next, cur
+	}
+	p.pliBase = newPLIBase(cur, bounds)
+	return p
 }
 
 // refineBy sub-partitions (cur, bounds) by attribute a's codes, writing
@@ -145,22 +169,11 @@ func BuildPLI(r *Relation, attrs []int) *PLI {
 // by intersect. cur is never written, so callers may pass shared
 // storage (intersect hands in the parent PLI's tids directly).
 func refineBy(r *Relation, a int, cur, next []int, bounds []int32) []int32 {
-	count := make([]int32, r.DistinctCodes(a))
+	codes, ranks := r.ColumnCodes(a), r.codeRanks(a)
+	count := make([]int32, r.DistinctCodes(a)) // zero between groups
 	newBounds := make([]int32, 1, len(bounds))
-	return refineGroups(r.ColumnCodes(a), r.codeRanks(a), count, cur, next, bounds,
-		0, len(bounds)-1, newBounds)
-}
-
-// refineGroups is the group loop of refineBy restricted to the group
-// index range [gLo, gHi): it writes the refined order of exactly those
-// groups' members into next (the regions are disjoint per group, so
-// concurrent calls over disjoint ranges never collide) and appends each
-// refined sub-group's end position to newBounds. count is caller-owned
-// scratch of DistinctCodes size, zeroed on entry and on return — one
-// per worker in the chunked parallel refinement (shard.go).
-func refineGroups(codes, ranks, count []int32, cur, next []int, bounds []int32, gLo, gHi int, newBounds []int32) []int32 {
 	var touched []int32
-	for gi := gLo; gi < gHi; gi++ {
+	for gi := 0; gi+1 < len(bounds); gi++ {
 		lo, hi := int(bounds[gi]), int(bounds[gi+1])
 		if hi-lo == 1 {
 			next[lo] = cur[lo]
@@ -208,28 +221,14 @@ func refineGroups(codes, ranks, count []int32, cur, next []int, bounds []int32, 
 
 // newPLIBase wraps a finished partition (tids grouped by offsets, as the
 // refinement passes emit them) in a base, filling the inverse tid →
-// group array with the group range chunked across workers: each group's
-// members are written by exactly one worker, so the writes are disjoint;
-// workers <= 1 is the serial fill.
-func newPLIBase(tids []int, offsets []int32, workers int) *pliBase {
+// group array.
+func newPLIBase(tids []int, offsets []int32) *pliBase {
 	b := &pliBase{n: len(tids), tids: tids, offsets: offsets, tidGroup: make([]int32, len(tids))}
-	cuts := []int{0, len(offsets) - 1}
-	if workers > 1 && len(offsets)-1 >= 2*workers {
-		cuts = chunkGroups(offsets, workers)
+	for g := 0; g+1 < len(offsets); g++ {
+		for _, tid := range tids[offsets[g]:offsets[g+1]] {
+			b.tidGroup[tid] = int32(g)
+		}
 	}
-	var wg sync.WaitGroup
-	for c := 0; c+1 < len(cuts); c++ {
-		wg.Add(1)
-		go func(gLo, gHi int) {
-			defer wg.Done()
-			for g := gLo; g < gHi; g++ {
-				for _, tid := range tids[offsets[g]:offsets[g+1]] {
-					b.tidGroup[tid] = int32(g)
-				}
-			}
-		}(cuts[c], cuts[c+1])
-	}
-	wg.Wait()
 	return b
 }
 
@@ -243,11 +242,24 @@ func newPLIBase(tids []int, offsets []int32, workers int) *pliBase {
 //
 // The receiver must still describe its relation (fresh after the
 // fold); IndexCache.GetVia catches the parent up before refining.
-//
-// intersect refines serially; IntersectSharded (shard.go) fans the
-// refinement over a worker pool with byte-identical output.
 func (p *PLI) intersect(y int) *PLI {
-	return p.IntersectSharded(y, 1)
+	p.compact()
+	r := p.rel
+	out := &PLI{
+		rel:       r,
+		attrs:     append(slices.Clone(p.attrs), y),
+		colVers:   append(slices.Clone(p.colVers), r.ColumnVersion(y)),
+		patchVers: append(slices.Clone(p.patchVers), r.PatchVersion(y)),
+	}
+	if p.n == 0 {
+		out.pliBase = newPLIBase(nil, []int32{0})
+		return out
+	}
+	// refinement only reads the parent's TID storage, so it is shared
+	// directly instead of copied.
+	next := make([]int, p.n)
+	out.pliBase = newPLIBase(next, refineBy(r, y, p.tids, next, p.offsets))
+	return out
 }
 
 // Attrs returns the indexed attribute positions.
@@ -821,7 +833,7 @@ func (p *PLI) merged(shared bool) *pliBase {
 		}
 		return out
 	}
-	out := newPLIBase(tids, offsets, 1)
+	out := newPLIBase(tids, offsets)
 	if lookup != nil {
 		out.lookup = lookup
 		if shared {

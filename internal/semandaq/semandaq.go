@@ -31,7 +31,7 @@ const ConfirmedWeight = engine.ConfirmedWeight
 
 // Project is a Semandaq session: one relation, one CFD set, cell
 // confidence state, and the latest candidate repair. It delegates to an
-// engine.Session with the default worker pool (NumCPU); parallel and
+// engine.Session with the machine's worker pool; parallel and
 // serial detection return identical results, so the facade's behavior
 // is unchanged from the original single-threaded implementation.
 type Project struct {
@@ -42,7 +42,7 @@ type Project struct {
 // schema and be satisfiable (an unsatisfiable set cannot be repaired
 // to).
 func NewProject(name string, data *relation.Relation, set *cfd.Set) (*Project, error) {
-	s, err := engine.NewSession(name, data, set, 0)
+	s, err := engine.NewSession(name, data, set)
 	if err != nil {
 		return nil, err
 	}
