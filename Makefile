@@ -35,7 +35,9 @@ race:
 # goroutines (discovery through engine sessions, concurrent detection,
 # append-time PLI advancement through incremental repair, cold builds
 # and refinements racing appends in
-# TestShardedCacheConcurrentBuildAppend, DC detection racing
+# TestShardedCacheConcurrentBuildAppend, Lookup and Group readers
+# racing the folds that share their key map in
+# TestFoldSharedKeyMapConcurrent, DC detection racing
 # appends and discovery on one shared session cache in
 # TestConcurrentDCDetectAppendDiscover, and tiered-storage demotions
 # and mmap page-ins racing dirty appends with pending cell patches in
@@ -85,7 +87,10 @@ bench:
 # process, repair leaves nothing, kill -9 loses no acked append — fails
 # here. The traced serve-mixed run adds the ladder's add-up check: the
 # in-process server.read / detect / append spans against the self times
-# of the twin rungs under them; the traced cold-batch run adds the
+# of the twin rungs under them; the traced ingest-durable run replays
+# the append path (advance, patch, fold) under tracing and checks served
+# ≡ fresh detection after the load, kill -9 recovery and the
+# server.append add-up; the traced cold-batch run adds the
 # ladder's repair rung: repair.Batch on the twin relation, then a
 # detection that must find nothing; the traced cluster-mixed run adds
 # the merge probe (per-CFD ShardGroups + cfd.MergeShards over real
@@ -96,7 +101,7 @@ bench-smoke:
 	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0; \
 	done
-	for w in serve-mixed cold-batch cluster-mixed; do \
+	for w in serve-mixed ingest-durable cold-batch cluster-mixed; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1; \
 	done
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -56,11 +56,13 @@ type PLI struct {
 // pliBase is the immutable half of a PLI: all TIDs in one slice
 // partitioned by an offsets table (three allocations for a 100k-group
 // index instead of 100k bucket slices), plus the inverse tid → group
-// array. No element is written after the constructor returns, so a
-// base is safe to share with lock-free readers, and its arrays may be
-// zero-copy views into a read-only mapped segment file — seg is
-// non-nil exactly then, and anchors the mapping's lifetime (views do
-// not keep an mmap alive by themselves).
+// array. No element is written while a reader can see the base, so a
+// base is safe to share with lock-free readers (only an in-place fold,
+// which runs with none, hands its tid -> group and id -> index arrays
+// on to the base it makes), and its arrays may be zero-copy views into
+// a read-only mapped segment file — seg is non-nil exactly then, and
+// anchors the mapping's lifetime (views do not keep an mmap alive by
+// themselves).
 type pliBase struct {
 	n        int     // rows covered == len(tids) == len(tidGroup)
 	tids     []int   // concatenation of all groups; ascending within each
@@ -68,33 +70,39 @@ type pliBase struct {
 	tidGroup []int32 // tid -> group index
 	seg      *Mapping
 
-	// Composite-code key -> group map backing Lookup and the group
-	// probes of advance and patch. Built on first use from each group's
-	// first member, guarded by lookupMu so concurrent probers share one
-	// build; a merge hands it to the next base (renumbered when group
-	// indexes moved) instead of dropping it.
+	// Composite-code key -> stable group id, backing Lookup and the
+	// group probes of advance and patch, and the base's own id -> group
+	// index array (-1: a group the base dropped). Built on first use
+	// from each group's first member (ids are then the group indexes),
+	// guarded by lookupMu so concurrent probers share one build. A
+	// group's id never changes, so only the exclusive writer writes the
+	// map — advance and rehome give a novel key the next id, rehome
+	// deletes the key of a group it empties — and a fold only reads it:
+	// the merged base shares the map and renumbers the int32 index
+	// array (an in-place fold renumbers the map too, but only once
+	// dropped ids outnumber the live groups; see reclaimIDs).
 	lookupMu sync.Mutex
 	lookup   map[string]int32
+	index    []int32
 }
 
 // groupDelta is the overlay's record for one group.
 type groupDelta struct {
-	added   []int  // TIDs that joined since the base was built, ascending
-	removed []int  // base members patched away, ascending
-	key     string // composite code key; set for new groups only
+	added   []int // TIDs that joined since the base was built, ascending
+	removed []int // base members patched away, ascending
 }
 
 // overlay is the mutable half of a PLI. A group with a base span is
 // found under its index in touched; a group for a composite key the
 // base has never seen is a new group, addressed after the base groups
-// in arrival order (index = base groups + position in fresh).
+// in arrival order (index = base groups + position in fresh), whose id
+// is the base's id count plus that position.
 type overlay struct {
 	touched map[int32]*groupDelta
 	fresh   []*groupDelta
-	newKeys map[string]int32 // composite code key -> new group's index
-	home    map[int]int32    // base TID patched away from its base group -> current group
-	tail    []int32          // group of TID n+i: the rows advance absorbed
-	size    int              // TIDs across all added and removed lists
+	home    map[int]int32 // base TID patched away from its base group -> current group
+	tail    []int32       // group of TID n+i: the rows advance absorbed
+	size    int           // TIDs across all added and removed lists
 }
 
 // empty reports whether the base alone is the partition.
@@ -223,13 +231,17 @@ func refineBy(r *Relation, a int, cur, next []int, bounds []int32) []int32 {
 // refinement passes emit them) in a base, filling the inverse tid →
 // group array.
 func newPLIBase(tids []int, offsets []int32) *pliBase {
-	b := &pliBase{n: len(tids), tids: tids, offsets: offsets, tidGroup: make([]int32, len(tids))}
+	return &pliBase{n: len(tids), tids: tids, offsets: offsets, tidGroup: groupsOf(make([]int32, len(tids)), tids, offsets)}
+}
+
+// groupsOf fills dst (one entry per TID) with each TID's group index.
+func groupsOf(dst []int32, tids []int, offsets []int32) []int32 {
 	for g := 0; g+1 < len(offsets); g++ {
 		for _, tid := range tids[offsets[g]:offsets[g+1]] {
-			b.tidGroup[tid] = int32(g)
+			dst[tid] = int32(g)
 		}
 	}
-	return b
+	return dst
 }
 
 // intersect returns the partition index over attrs ∪ {y} (y appended)
@@ -364,71 +376,79 @@ func (p *PLI) Lookup(vals []Value) []int {
 		}
 		key = appendCode(key, code)
 	}
-	if g, ok := p.keyMap(nil)[string(key)]; ok {
-		return p.Group(int(g))
-	}
-	if g, ok := p.ov.newKeys[string(key)]; ok {
-		return p.Group(int(g))
+	if id, ok := p.keyMap(nil)[string(key)]; ok {
+		return p.Group(int(p.groupByID(id)))
 	}
 	return nil
 }
 
-// keyMap returns the base's composite-code -> group map, building it on
-// first use from each group's first member. pre overlays the relation's
-// codes with the pre-patch code per (tid*len(attrs) + attr index) of
-// every journal record the index has not applied: such a TID's cell has
-// already changed, but it still sits in — and may represent — the group
-// of its old key. Patch drains therefore build the map before they
-// re-home anything, which is also why no later state needs to: an
-// overlay is never written before the map exists, and a merge carries
-// the map over.
+// keyMap returns the base's composite-code -> group id map, building it
+// (and the identity id -> index array) on first use from each group's
+// first member. pre overlays the relation's codes with the pre-patch
+// code per (tid*len(attrs) + attr index) of every journal record the
+// index has not applied: such a TID's cell has already changed, but it
+// still sits in — and may represent — the group of its old key. Patch
+// drains therefore build the map before they re-home anything, which is
+// also why no later state needs to: an overlay is never written before
+// the map exists, and a merge shares the map with the base it makes.
 func (p *PLI) keyMap(pre map[int64]int32) map[string]int32 {
 	b := p.pliBase
 	b.lookupMu.Lock()
 	defer b.lookupMu.Unlock()
 	if b.lookup == nil {
-		m := make(map[string]int32, len(b.offsets)-1)
-		k := len(p.attrs)
-		key := make([]byte, 0, 4*k)
-		for g := 0; g+1 < len(b.offsets); g++ {
-			rep := b.tids[b.offsets[g]]
-			key = key[:0]
-			for i, a := range p.attrs {
-				c, patched := pre[int64(rep*k+i)]
-				if !patched {
-					c = p.rel.cols[a].codes[rep]
-				}
-				key = appendCode(key, c)
-			}
-			m[string(key)] = int32(g)
+		nb := len(b.offsets) - 1
+		m, index := make(map[string]int32, nb), make([]int32, nb)
+		key := make([]byte, 0, 4*len(p.attrs))
+		for g := range index {
+			m[string(p.placedKey(key[:0], b.tids[b.offsets[g]], pre))] = int32(g)
+			index[g] = int32(g)
 		}
-		b.lookup = m
+		b.lookup, b.index = m, index
 	}
 	return b.lookup
+}
+
+// placedKey appends to dst the composite code key tid was placed under:
+// its current codes, overlaid with pre's pre-patch codes (see keyMap).
+func (p *PLI) placedKey(dst []byte, tid int, pre map[int64]int32) []byte {
+	k := len(p.attrs)
+	for i, a := range p.attrs {
+		c, patched := pre[int64(tid*k+i)]
+		if !patched {
+			c = p.rel.cols[a].codes[tid]
+		}
+		dst = appendCode(dst, c)
+	}
+	return dst
 }
 
 func appendCode(b []byte, c int32) []byte {
 	return append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 }
 
+// groupByID returns the index of the group with stable id id (which
+// must be in the key map): a base group through the base's index
+// array, else the overlay's new group the id was handed to — ids past
+// the array go to new groups in arrival order. Read after keyMap.
+func (p *PLI) groupByID(id int32) int32 {
+	if int(id) < len(p.index) {
+		return p.index[id]
+	}
+	return int32(len(p.offsets)-1) + id - int32(len(p.index))
+}
+
 // groupFor returns the index of the group keyed by the composite code
-// key: a base group through lookup, else the overlay's new group for
-// it, opened here when the key is new to both.
+// key, opening a new group in the overlay when the key has no id yet —
+// the key takes the next one. It writes the key map, so only the
+// writers (advance, rehome) call it.
 func (p *PLI) groupFor(lookup map[string]int32, key []byte) int32 {
-	if g, ok := lookup[string(key)]; ok {
-		return g
+	if id, ok := lookup[string(key)]; ok {
+		return p.groupByID(id)
 	}
 	o := &p.ov
-	if g, ok := o.newKeys[string(key)]; ok {
-		return g
-	}
-	if o.newKeys == nil {
-		o.newKeys = make(map[string]int32)
-	}
-	g, k := int32(len(p.offsets)-1+len(o.fresh)), string(key)
-	o.newKeys[k] = g
-	o.fresh = append(o.fresh, &groupDelta{key: k})
-	return g
+	lookup[string(key)] = int32(len(p.index) + len(o.fresh))
+	o.fresh = append(o.fresh, &groupDelta{})
+	return int32(len(p.offsets) - 2 + len(o.fresh))
 }
 
 // fresh reports whether the index still describes r: it was built from
@@ -550,22 +570,16 @@ func (p *PLI) patch(tid, attr int, oldCode, newCode int32) bool {
 	if idx < 0 {
 		return false
 	}
-	// The key map must exist before the watermark moves past this
-	// record; build it under every still-pending record, this one
-	// included (see keyMap).
-	p.lookupMu.Lock()
-	built := p.lookup != nil
-	p.lookupMu.Unlock()
-	var pre map[int64]int32
-	if !built {
-		_, pre, _ = p.pendingPatchTIDs(p.rel)
-	}
+	// The key map (on its first use) and the key tid was placed under
+	// are both read under every still-pending record, this one included
+	// (see keyMap), so they are gathered before the watermark moves.
+	_, pre, _ := p.pendingPatchTIDs(p.rel)
 	lookup := p.keyMap(pre)
 	p.patchVers[idx]++
 	if tid >= p.rows() || oldCode == newCode {
 		return false
 	}
-	return p.rehome(lookup, tid)
+	return p.rehome(lookup, tid, pre)
 }
 
 // pendingPatchTIDs collects the distinct TIDs the index covers
@@ -607,7 +621,7 @@ func (p *PLI) pendingPatchTIDs(r *Relation) (tids []int, pre map[int64]int32, ok
 func (p *PLI) applyPatchesLocked(r *Relation, tids []int, pre map[int64]int32) {
 	lookup := p.keyMap(pre)
 	for _, tid := range tids {
-		p.rehome(lookup, tid)
+		p.rehome(lookup, tid, pre)
 	}
 	for i, a := range p.attrs {
 		p.patchVers[i] = r.PatchVersion(a)
@@ -620,12 +634,12 @@ func (p *PLI) applyPatchesLocked(r *Relation, tids []int, pre map[int64]int32) {
 // codes, so a fold restores canonical order. Leaving a group deletes
 // the TID from the group's added list, or records a base member in its
 // removed list; joining is the inverse, so a TID patched back home
-// cancels its own removal. Reports whether the TID changed groups.
-func (p *PLI) rehome(lookup map[string]int32, tid int) bool {
-	key := make([]byte, 0, 4*len(p.attrs))
-	for _, a := range p.attrs {
-		key = appendCode(key, p.rel.cols[a].codes[tid])
-	}
+// cancels its own removal. A group the TID leaves empty loses its key
+// (its id is never handed out again), so the key map holds exactly the
+// live groups; pre gives the key the TID was placed under (see keyMap).
+// Reports whether the TID changed groups.
+func (p *PLI) rehome(lookup map[string]int32, tid int, pre map[int64]int32) bool {
+	key := p.placedKey(make([]byte, 0, 4*len(p.attrs)), tid, nil)
 	cur, target := int32(p.GroupOf(tid)), p.groupFor(lookup, key)
 	if target == cur {
 		return false // already home (duplicate or round-trip patches)
@@ -633,6 +647,13 @@ func (p *PLI) rehome(lookup map[string]int32, tid int) bool {
 	o, nb := &p.ov, len(p.offsets)-1
 	from, to := o.delta(cur, nb), o.delta(target, nb)
 	o.size += moveTID(&from.added, &from.removed, tid) + moveTID(&to.removed, &to.added, tid)
+	left := len(from.added) - len(from.removed)
+	if int(cur) < nb {
+		left += int(p.offsets[cur+1] - p.offsets[cur])
+	}
+	if left == 0 {
+		delete(lookup, string(p.placedKey(key[:0], tid, pre)))
+	}
 	switch {
 	case tid >= p.n:
 		o.tail[tid-p.n] = target
@@ -671,7 +692,29 @@ func (p *PLI) compact() {
 
 func (p *PLI) foldLocked() {
 	if !p.ov.empty() {
-		p.pliBase, p.ov = p.merged(false), overlay{}
+		p.pliBase, p.ov = p.merged(true), overlay{}
+		p.reclaimIDs()
+	}
+}
+
+// reclaimIDs renumbers the key map onto group indexes once dropped
+// groups hold more than half of the ids, so the id -> index array
+// tracks the live groups instead of every group the index ever dropped.
+// Each rewrite is paid for by as many dropped groups. It writes the map,
+// which only the in-place fold may: like advance, it runs when no
+// reader holds the index or an older base sharing the map.
+func (p *PLI) reclaimIDs() {
+	b := p.pliBase
+	nb := len(b.offsets) - 1
+	if b.lookup == nil || len(b.index) <= 2*nb+64 {
+		return
+	}
+	for key, id := range b.lookup {
+		b.lookup[key] = b.index[id]
+	}
+	b.index = make([]int32, nb)
+	for g := range b.index {
+		b.index[g] = int32(g)
 	}
 }
 
@@ -691,14 +734,19 @@ func (p *PLI) foldIfLargeLocked() {
 // copies — O(n) memmove plus O(overlay · log groups). The receiver is
 // only read; every patch the overlay records must have been applied to
 // the relation's codes and none be pending, since groups are ranked by
-// their members' current codes. The key map is handed over: as is when
-// no group index moved, renumbered and extended with the new groups'
-// keys otherwise — into a copy when shared says a reader may still
-// probe the receiver, in the map itself when the receiver's base is
-// about to be dropped.
-func (p *PLI) merged(shared bool) *pliBase {
+// their members' current codes. The key map is only read too: ids are
+// stable, so the new base shares the map, and its id -> index array is
+// the old one when no group index moved, else renumbered by one integer
+// pass with the new groups' ids appended. The old and the new base can
+// thus serve readers side by side — unless inPlace says the receiver's
+// base is about to be dropped, in which case its tid -> group and
+// id -> index arrays are rewritten for the new base instead of copied.
+func (p *PLI) merged(inPlace bool) *pliBase {
 	b, o := p.pliBase, &p.ov
 	nb, k := len(b.offsets)-1, len(p.attrs)
+	b.lookupMu.Lock()
+	lookup, index := b.lookup, b.index
+	b.lookupMu.Unlock()
 	ranks := make([][]int32, k)
 	cols := make([][]int32, k)
 	for i, a := range p.attrs {
@@ -746,15 +794,17 @@ func (p *PLI) merged(shared bool) *pliBase {
 		}
 	}
 	slices.Sort(touched)
-	fresh := make([]*groupDelta, 0, len(o.fresh))
-	for _, d := range o.fresh {
-		if len(d.added) > 0 { // patches can empty new groups too
-			fresh = append(fresh, d)
+	// fresh lists the arrival positions of the new groups that still
+	// have members (patches can empty new groups too), in canonical order.
+	fresh := make([]int, 0, len(o.fresh))
+	for i, d := range o.fresh {
+		if len(d.added) > 0 {
+			fresh = append(fresh, i)
 			renumber = true
 		}
 	}
-	slices.SortFunc(fresh, func(x, y *groupDelta) int {
-		if less(x.added[0], y.added[0]) {
+	slices.SortFunc(fresh, func(x, y int) int {
+		if less(o.fresh[x].added[0], o.fresh[y].added[0]) {
 			return -1
 		}
 		return 1
@@ -762,23 +812,40 @@ func (p *PLI) merged(shared bool) *pliBase {
 	// before[i] is the base group new group i is spliced in front of:
 	// the first one with members whose key ranks above it.
 	before := make([]int, len(fresh))
-	for i, d := range fresh {
+	for i, f := range fresh {
+		first := o.fresh[f].added[0]
 		before[i] = sort.Search(nb, func(g int) bool {
 			for ; g < nb; g++ {
 				if tid, ok := member(g); ok {
-					return less(d.added[0], tid)
+					return less(first, tid)
 				}
 			}
 			return true
 		})
 	}
 
+	// An in-place fold writes the tid -> group and id -> index arrays
+	// where they lie: nothing reads the receiver's base again, and no
+	// reader holds another base sharing them. A mapped array is
+	// read-only, and a fold into a new PLI leaves the receiver intact.
 	n := p.rows()
+	tidGroup := b.tidGroup
+	switch {
+	case inPlace && b.seg == nil:
+		tidGroup = slices.Grow(tidGroup, n-len(tidGroup))[:n]
+	case renumber:
+		tidGroup = make([]int32, n)
+	default:
+		tidGroup = append(make([]int32, 0, n), tidGroup...)[:n]
+	}
 	tids := make([]int, 0, n)
 	offsets := make([]int32, 1, nb+len(fresh)+1)
-	var newIndex []int32 // base group -> index in out, -1 when dropped
+	// newIndex maps base group -> index in out, -1 when dropped. It
+	// borrows tidGroup's storage (n >= nb), which is refilled only after
+	// the ids are renumbered through it.
+	var newIndex []int32
 	if renumber {
-		newIndex = make([]int32, nb)
+		newIndex = tidGroup[:nb]
 	}
 	freshIndex := make([]int32, len(fresh))
 	done := 0
@@ -797,7 +864,7 @@ func (p *PLI) merged(shared bool) *pliBase {
 		if fi < len(fresh) && (ti == len(touched) || before[fi] <= int(touched[ti])) {
 			copyRun(before[fi])
 			freshIndex[fi] = int32(len(offsets) - 1)
-			tids = append(tids, fresh[fi].added...)
+			tids = append(tids, o.fresh[fresh[fi]].added...)
 			offsets = append(offsets, int32(len(tids)))
 			fi++
 			continue
@@ -819,38 +886,32 @@ func (p *PLI) merged(shared bool) *pliBase {
 	}
 	copyRun(nb)
 
-	b.lookupMu.Lock()
-	lookup := b.lookup
-	b.lookupMu.Unlock()
 	if !renumber {
 		// Same group indexes: only the TIDs the overlay placed differ.
-		out := &pliBase{n: n, tids: tids, offsets: offsets, tidGroup: make([]int32, n), lookup: lookup}
-		copy(out.tidGroup, b.tidGroup)
 		for g, d := range o.touched {
 			for _, tid := range d.added {
-				out.tidGroup[tid] = g
+				tidGroup[tid] = g
 			}
 		}
-		return out
+		return &pliBase{n: n, tids: tids, offsets: offsets, tidGroup: tidGroup, lookup: lookup, index: index}
 	}
-	out := newPLIBase(tids, offsets)
-	if lookup != nil {
-		out.lookup = lookup
-		if shared {
-			out.lookup = make(map[string]int32, len(offsets)-1)
-		}
-		for key, g := range lookup {
-			if ng := newIndex[g]; ng >= 0 {
-				out.lookup[key] = ng
-			} else if !shared {
-				delete(lookup, key)
-			}
-		}
-		for i, d := range fresh {
-			out.lookup[d.key] = freshIndex[i]
-		}
+	ids := index
+	if !inPlace {
+		ids = make([]int32, len(index), len(index)+len(o.fresh))
 	}
-	return out
+	for id, g := range index {
+		if g >= 0 {
+			g = newIndex[g]
+		}
+		ids[id] = g
+	}
+	for range o.fresh { // the new groups' ids, in arrival order
+		ids = append(ids, -1)
+	}
+	for i, f := range fresh {
+		ids[len(index)+f] = freshIndex[i]
+	}
+	return &pliBase{n: n, tids: tids, offsets: offsets, tidGroup: groupsOf(tidGroup, tids, offsets), lookup: lookup, index: ids}
 }
 
 // catchUp is IndexCache's entry-revalidation hook: under the PLI's
@@ -897,7 +958,7 @@ func (p *PLI) catchUp(r *Relation, compact bool) (out *PLI, advanced, patched bo
 	if compact && !p.ov.empty() && !advanced && !patched {
 		return &PLI{
 			rel: p.rel, attrs: p.attrs, colVers: p.colVers,
-			patchVers: slices.Clone(p.patchVers), pliBase: p.merged(true),
+			patchVers: slices.Clone(p.patchVers), pliBase: p.merged(false),
 		}, false, false
 	}
 	if compact {
@@ -921,7 +982,7 @@ func (p *PLI) MemSize() int64 {
 		sz += int64(len(b.tids))*8 + int64(len(b.offsets)+len(b.tidGroup))*4
 	}
 	b.lookupMu.Lock()
-	sz += int64(len(b.lookup)) * (16 + int64(len(p.attrs))*4)
+	sz += int64(len(b.lookup))*(16+int64(len(p.attrs))*4) + 4*int64(len(b.index))
 	b.lookupMu.Unlock()
 	return sz
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -339,6 +340,81 @@ func TestCacheCompactCopyOnWriteConcurrent(t *testing.T) {
 		t.Fatal("cache entry not canonical after quiescence")
 	}
 	sameFlat(t, "post-concurrency", got, BuildPLI(r, attrs))
+}
+
+// TestFoldSharedKeyMapConcurrent races readers of the key map against
+// the folds that share it. Under a shared lock, readers probe Lookup and
+// Group on the PLIs GetDelta and Get hand out, while another reader's
+// Get folds the same entry into a new PLI over the same map. Between
+// read windows a writer holding the exclusive lock appends novel keys
+// and Sets cells (emptying groups), so the next lookup writes the map
+// through advance and rehome. Run under -race (make race-cache).
+func TestFoldSharedKeyMapConcurrent(t *testing.T) {
+	r := randomMixedRelation(t, 51, 400)
+	cache := NewIndexCache()
+	attrs := []int{0, 1}
+	var relMu sync.RWMutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer: novel keys, and edits that empty groups
+		defer wg.Done()
+		defer close(stop)
+		rng := rand.New(rand.NewSource(52))
+		prev := -1
+		for round := 0; round < 25; round++ {
+			relMu.Lock()
+			appendRandomRows(t, r, rng, 6)
+			r.MustInsert(Tuple{String(fmt.Sprintf("0race-%d", round)), Int(int64(round)), Float(0.5), Null()})
+			if prev >= 0 {
+				r.Set(prev, 0, String("edi")) // the last novel row's group empties
+			}
+			prev = r.Len() - 1
+			for k := 0; k < 3; k++ {
+				attr := rng.Intn(2)
+				r.Set(rng.Intn(r.Len()), attr, randomPatchValue(rng, attr))
+			}
+			relMu.Unlock()
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(60 + w)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					if i > 20 {
+						return
+					}
+				default:
+				}
+				relMu.RLock()
+				var pli *PLI
+				if (w+i)%2 == 0 {
+					pli = cache.GetDelta(r, attrs)
+				} else {
+					pli = cache.Get(r, attrs)
+				}
+				for k := 0; k < 8; k++ {
+					tid := rng.Intn(r.Len())
+					if !slices.Contains(pli.Lookup(r.Tuple(tid).Project(attrs)), tid) {
+						t.Errorf("worker %d: Lookup of TID %d's key misses it", w, tid)
+					}
+					if !slices.Contains(pli.Group(pli.GroupOf(tid)), tid) {
+						t.Errorf("worker %d: TID %d is not in its own group", w, tid)
+					}
+				}
+				relMu.RUnlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	got := cache.Get(r, attrs)
+	sameFlat(t, "post-concurrency", got, BuildPLI(r, attrs))
+	samePLI(t, "post-concurrency", r, got, BuildPLI(r, attrs))
 }
 
 // TestGetViaAdvancesParent checks that refinement parents are caught up

@@ -2,10 +2,13 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // checkDeltaAgainst asserts a delta-tolerant index (IndexCache.GetDelta)
@@ -167,5 +170,114 @@ func TestCompactKeepsKeyMap(t *testing.T) {
 				t.Fatalf("round %d: carried key map sends group %d's key to %v", round, g, members)
 			}
 		}
+	}
+}
+
+// keyMapOf returns the key map of p's base and the map's identity.
+func keyMapOf(p *PLI) (map[string]int32, unsafe.Pointer) {
+	p.lookupMu.Lock()
+	defer p.lookupMu.Unlock()
+	return p.lookup, reflect.ValueOf(p.lookup).UnsafePointer()
+}
+
+// TestFoldSharesKeyMap pins why a fold no longer rehashes: group ids are
+// stable, so neither fold writes the key map. Each round appends novel
+// keys and empties two groups by Set — a new group the previous lookup
+// opened in the overlay and a base group — and then folds in place
+// (the stale entry's Get advances, patches and folds it) or into a new
+// PLI (GetDelta advances and patches, then Get folds a copy). Either
+// way the folded base holds the very map the index started with, every
+// key that survives keeps its id, the map has one entry per live group,
+// and each group's key leads Lookup back to it.
+func TestFoldSharesKeyMap(t *testing.T) {
+	attrs := []int{0, 1}
+	for _, copyFold := range []bool{false, true} {
+		r := randomMixedRelation(t, 41, 300)
+		rng := rand.New(rand.NewSource(43))
+		cache := NewIndexCache()
+		novel := func(tag string, round int) int {
+			r.MustInsert(Tuple{String(fmt.Sprintf("0fold-%s-%d", tag, round)), Int(int64(700 + round)), Float(0.5), Null()})
+			return r.Len() - 1
+		}
+		prev := novel("base", -1)
+		p := cache.Get(r, attrs)
+		p.Lookup(r.Tuple(0).Project(attrs)) // builds the key map
+		m0, id0 := keyMapOf(p)
+		ids := maps.Clone(m0)
+		for round := 0; round < 4; round++ {
+			ctx := fmt.Sprintf("copy fold %v round %d", copyFold, round)
+			fresh := novel("fresh", round)
+			if d := cache.GetDelta(r, attrs); d != p || d.tailLen() == 0 {
+				t.Fatalf("%s: GetDelta did not advance the entry in place", ctx)
+			}
+			appendRandomRows(t, r, rng, 6)
+			next := novel("base", round)
+			r.Set(fresh, 1, Int(int64(900+round))) // empties the overlay's new group
+			r.Set(prev, 0, String("edi"))          // empties a base group
+			prev = next
+
+			var reader *PLI // a GetDelta reader's PLI, still probed after the copy fold
+			if copyFold {
+				if reader = cache.GetDelta(r, attrs); reader != p || reader.tailLen() == 0 {
+					t.Fatalf("%s: GetDelta did not catch the entry up in place", ctx)
+				}
+			}
+			got := cache.Get(r, attrs)
+			if got.tailLen() != 0 || (got == p) == copyFold {
+				t.Fatalf("%s: Get folded into the wrong PLI (same %v, overlay %d)", ctx, got == p, got.tailLen())
+			}
+			p = got
+			if _, id := keyMapOf(got); id != id0 {
+				t.Fatalf("%s: the fold replaced the key map", ctx)
+			}
+			for key, id := range ids {
+				if now, ok := m0[key]; ok && now != id {
+					t.Fatalf("%s: a key's group id moved from %d to %d", ctx, id, now)
+				}
+			}
+			ids = maps.Clone(m0)
+			if len(m0) != got.NumGroups() {
+				t.Fatalf("%s: key map has %d entries for %d groups", ctx, len(m0), got.NumGroups())
+			}
+			for g := 0; g < got.NumGroups(); g++ {
+				members := got.Group(g)
+				if hit := got.Lookup(r.Tuple(members[0]).Project(attrs)); !slices.Equal(hit, members) {
+					t.Fatalf("%s: group %d's key looks up %v, want %v", ctx, g, hit, members)
+				}
+			}
+			samePLI(t, ctx, r, got, BuildPLI(r, attrs))
+			if reader != nil {
+				checkDeltaAgainst(t, ctx+" reader", r, rng, reader, BuildPLI(r, attrs), attrs)
+			}
+		}
+	}
+}
+
+// TestFoldReclaimsDroppedIDs pins the bound on the id -> index array: an
+// edit that moves a singleton group's only member to a novel key drops
+// one id and hands out another, and the in-place fold renumbers the
+// key map once dropped ids outnumber the live groups, so the array does
+// not grow with the number of edits.
+func TestFoldReclaimsDroppedIDs(t *testing.T) {
+	r := New(MustSchema("ids", Attribute{Name: "K", Kind: KindString}, Attribute{Name: "V", Kind: KindInt}))
+	for i := 0; i < 40; i++ {
+		r.MustInsert(Tuple{String(fmt.Sprintf("k%d", i)), Int(int64(i % 3))})
+	}
+	attrs := []int{0}
+	cache := NewIndexCache()
+	cache.Get(r, attrs).Lookup(Tuple{String("k0")}) // builds the key map
+	for edit := 0; edit < 400; edit++ {
+		r.Set(edit%r.Len(), 0, String(fmt.Sprintf("e%d", edit)))
+		got := cache.Get(r, attrs)
+		m, _ := keyMapOf(got)
+		if nb := got.NumGroups(); len(got.index) > 2*nb+64 || len(m) != nb {
+			t.Fatalf("edit %d: %d ids and %d keys for %d groups", edit, len(got.index), len(m), nb)
+		}
+		for g := 0; g < got.NumGroups(); g++ {
+			if hit := got.Lookup(r.Tuple(got.Group(g)[0]).Project(attrs)); !slices.Equal(hit, got.Group(g)) {
+				t.Fatalf("edit %d: group %d's key looks up %v", edit, g, hit)
+			}
+		}
+		samePLI(t, fmt.Sprintf("edit %d", edit), r, got, BuildPLI(r, attrs))
 	}
 }
