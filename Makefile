@@ -33,6 +33,8 @@ race:
 
 # race-cache re-runs the packages that share PLI caches across
 # goroutines (discovery through engine sessions, concurrent detection,
+# the internal/cfd detection pool whose chunk jobs read the partitions
+# the calling goroutine took from a shared cache,
 # append-time PLI advancement through incremental repair, cold builds
 # and refinements racing appends in
 # TestShardedCacheConcurrentBuildAppend, Lookup and Group readers
@@ -52,7 +54,7 @@ race:
 # — the Get/GetDelta compaction race stayed hidden on a 1-core host
 # until the fan-out was pinned.
 race-cache:
-	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/relation/ ./internal/discovery/ ./internal/engine/ ./internal/repair/ ./internal/dc/ ./internal/server/ ./internal/wal/
+	GOMAXPROCS=8 $(GO) test -race -count=2 ./internal/relation/ ./internal/cfd/ ./internal/discovery/ ./internal/engine/ ./internal/repair/ ./internal/dc/ ./internal/server/ ./internal/wal/
 
 # fuzz-smoke gives every Fuzz* target of the root module ten seconds of
 # mutation (a plain `go test` only replays the seeds). Targets are found

@@ -362,16 +362,16 @@ func BenchmarkE12EndToEnd(b *testing.B) {
 	})
 }
 
-// BenchmarkE13ParallelDetect compares the serial detector against the
-// worker-pool detector that backs the semandaqd service, on the 10k
-// benchmark dataset. The outputs are asserted byte-identical — the
-// parallel detector's contract is "same violations, same order, less
-// wall-clock".
+// BenchmarkE13ParallelDetect compares a pool of one (the serial scan)
+// against the worker-pool detector that backs the semandaqd service, on
+// the 10k benchmark dataset. The outputs are asserted byte-identical —
+// the parallel detector's contract is "same violations, same order,
+// less wall-clock".
 func BenchmarkE13ParallelDetect(b *testing.B) {
 	set := datagen.CustConstraints()
 	dirty, _ := dirtyCust(10_000, 0.05, 79)
 	d := cfd.NewDetector(set)
-	serial, err := d.Detect(dirty)
+	serial, err := d.DetectParallel(dirty, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func BenchmarkE13ParallelDetect(b *testing.B) {
 	}
 	b.Run("serial/n=10000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Detect(dirty); err != nil {
+			if _, err := d.DetectParallel(dirty, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

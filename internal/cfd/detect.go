@@ -74,21 +74,13 @@ func NewDetectorWithCache(set *Set, cache *relation.IndexCache) *Detector {
 	return &Detector{set: set, cache: cache}
 }
 
-// Detect returns all violations of the detector's CFD set in r.
-// Violations are reported per (CFD, tableau row, Y attribute): constant
-// violations once per offending tuple, variable violations once per
-// conflicting X-group.
+// Detect returns all violations of the detector's CFD set in r: CFD by
+// CFD in set order, each CFD's X-groups in PLI order. Violations are
+// reported per (CFD, tableau row, Y attribute): constant violations
+// once per offending tuple, variable violations once per conflicting
+// X-group. It is DetectParallel on the machine's pool.
 func (d *Detector) Detect(r *relation.Relation) ([]Violation, error) {
-	var out []Violation
-	for _, c := range d.set.cfds {
-		if !r.Schema().Equal(c.schema) {
-			return nil, fmt.Errorf("cfd: detecting %s over relation %s with schema %s",
-				c.name, r.Schema().Name(), c.schema.Name())
-		}
-		pli := d.cache.Get(r, c.lhs)
-		out = append(out, DetectGroups(r, c, pli, 0, pli.NumGroups())...)
-	}
-	return out, nil
+	return d.DetectParallel(r, 0)
 }
 
 // DetectOne returns all violations of a single CFD in r.
@@ -249,8 +241,8 @@ func rowMatches(r *relation.Relation, row pattern.Row, attrs []int, tid int) boo
 // X-group and group-wise detection never looks outside the group,
 // splitting [0, NumGroups) into disjoint ranges and concatenating the
 // per-range results in range order reproduces the serial output exactly;
-// this is what DetectParallel's worker pool does. (IncDetect is a
-// separate loop, not a filter over DetectGroups: its constant-RHS
+// DetectParallel's chunk jobs are such ranges (scanChunks). (IncDetect
+// is a separate loop, not a filter over DetectGroups: its constant-RHS
 // reporting is restricted per tuple, not per group.)
 //
 // The hot path runs on column codes: constant RHS checks compare the
@@ -264,8 +256,9 @@ func DetectGroups(r *relation.Relation, c *CFD, pli *relation.PLI, lo, hi int) [
 	return detectGroupsPrepared(r, c, pli, lo, hi, newPrep(r, c))
 }
 
-// cfdPrep bundles the per-CFD constant resolutions and code columns so
-// DetectParallel computes them once per CFD instead of once per chunk.
+// cfdPrep bundles the per-CFD constant resolutions and code columns.
+// scanChunks resolves them once per CFD, on the caller's goroutine, and
+// every chunk job of that CFD reads the same copy.
 type cfdPrep struct {
 	lhs      []lhsRow
 	lhsCodes [][]int32

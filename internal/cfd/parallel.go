@@ -8,59 +8,65 @@ import (
 	"semandaq/internal/relation"
 )
 
-// DetectParallel returns exactly what Detect returns — the same
-// violations in the same order — but partitions the work across a pool
-// of `workers` goroutines. Zero (or negative) workers means the
-// machine's pool (fanout.Workers).
+// DetectParallel returns every violation of the detector's CFD set in
+// r, in the serial order — CFD by CFD in set order, each CFD's X-groups
+// in PLI order — with the group scan spread over a pool of `workers`
+// goroutines. Zero (or negative) workers means the machine's pool
+// (fanout.Workers); a pool of one is the plain serial loop.
 //
 // Parallelization exploits the grouping structure of CFD detection: a
-// violation is always contained in a single X-group, so each per-CFD
-// PLI's group range is split into contiguous chunks, every chunk is an
-// independent DetectGroups job, and the per-chunk outputs are
-// concatenated in (CFD, chunk) order. No locks are needed on the data
-// path: workers only read the relation and write disjoint result slots.
-// PLI acquisition for the different CFDs runs concurrently too, through
-// the detector's index cache (which is concurrency-safe), so a warm
-// cache skips the partition phase entirely.
+// violation is always contained in a single X-group, so each CFD's group
+// range is cut into contiguous chunks, every chunk is an independent
+// detectGroupsPrepared job, and the per-chunk outputs are concatenated
+// in (CFD, chunk) order (see scanChunks). No locks are needed on the
+// data path: workers only read the relation and write disjoint result
+// slots.
 func (d *Detector) DetectParallel(r *relation.Relation, workers int) ([]Violation, error) {
-	workers = fanout.Workers(workers)
-	cfds := d.set.cfds
-	if workers == 1 || len(cfds) == 0 || r.Len() == 0 {
-		return d.Detect(r)
+	chunks, _, err := scanChunks(r, d.set, d.cache, workers, detectGroupsPrepared)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range cfds {
+	return slices.Concat(chunks...), nil
+}
+
+// scanChunks is the one skeleton behind DetectParallel and DetectShards.
+// The caller's goroutine walks set in order: it checks each CFD's
+// schema, gets its X-partition through cache and resolves its codes
+// (newPrep), so a cold partition is built once, by one goroutine. Then
+// every CFD's group range is cut into up to `workers` contiguous chunks
+// — every worker stays busy even for a single-CFD set — and all (CFD,
+// chunk) jobs fan out through fanout.Map. The outputs come back in job
+// order: CFD i's chunks are chunks[first[i]:first[i+1]], in group
+// order, so concatenating them reproduces the serial traversal.
+func scanChunks[T any](r *relation.Relation, set *Set, cache *relation.IndexCache, workers int,
+	scan func(r *relation.Relation, c *CFD, pli *relation.PLI, lo, hi int, prep cfdPrep) []T,
+) (chunks [][]T, first []int, err error) {
+	workers = fanout.Workers(workers)
+	type job struct {
+		c      *CFD
+		pli    *relation.PLI
+		prep   cfdPrep
+		lo, hi int
+	}
+	var jobs []job
+	first = make([]int, 0, len(set.cfds)+1)
+	for _, c := range set.cfds {
 		if !r.Schema().Equal(c.schema) {
-			return nil, fmt.Errorf("cfd: detecting %s over relation %s with schema %s",
+			return nil, nil, fmt.Errorf("cfd: detecting %s over relation %s with schema %s",
 				c.name, r.Schema().Name(), c.schema.Name())
 		}
-	}
-
-	// Stage 1: acquire the per-CFD X-partitions concurrently (index
-	// building is the serial fraction of Detect), and resolve each CFD's
-	// constant codes once for all of its chunks.
-	type acquired struct {
-		pli  *relation.PLI
-		prep cfdPrep
-	}
-	got := fanout.Map(len(cfds), workers, func(i int) acquired {
-		return acquired{d.cache.Get(r, cfds[i].lhs), newPrep(r, cfds[i])}
-	})
-
-	// Stage 2: each CFD's group range is cut into up to `workers`
-	// contiguous chunks, so every worker stays busy even for a
-	// single-CFD set. Concatenating the chunks in (CFD, chunk) order
-	// reproduces the serial sorted-group traversal.
-	type job struct{ cfd, lo, hi int }
-	var jobs []job
-	for i, a := range got {
-		for _, c := range groupChunks(a.pli.NumGroups(), workers) {
-			jobs = append(jobs, job{i, c[0], c[1]})
+		first = append(first, len(jobs))
+		pli := cache.Get(r, c.lhs)
+		prep := newPrep(r, c)
+		for _, g := range groupChunks(pli.NumGroups(), workers) {
+			jobs = append(jobs, job{c, pli, prep, g[0], g[1]})
 		}
 	}
-	return slices.Concat(fanout.Map(len(jobs), workers, func(k int) []Violation {
-		j, a := jobs[k], got[jobs[k].cfd]
-		return detectGroupsPrepared(r, cfds[j.cfd], a.pli, j.lo, j.hi, a.prep)
-	})...), nil
+	first = append(first, len(jobs))
+	return fanout.Map(len(jobs), workers, func(k int) []T {
+		j := jobs[k]
+		return scan(r, j.c, j.pli, j.lo, j.hi, j.prep)
+	}), first, nil
 }
 
 // groupChunks cuts the group range [0, n) into min(chunks, n)

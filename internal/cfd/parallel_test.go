@@ -56,6 +56,22 @@ cfd phi2: cust([CC='01', AC='908', PN] -> [CT='mh'])
 	return set
 }
 
+// serialDetect is the serial detection loop DetectParallel replaced,
+// kept as its oracle: one CFD at a time in set order, each CFD's whole
+// group range in one DetectGroups call.
+func serialDetect(d *Detector, r *relation.Relation) ([]Violation, error) {
+	var out []Violation
+	for _, c := range d.set.cfds {
+		if !r.Schema().Equal(c.schema) {
+			return nil, fmt.Errorf("cfd: detecting %s over relation %s with schema %s",
+				c.name, r.Schema().Name(), c.schema.Name())
+		}
+		pli := d.cache.Get(r, c.lhs)
+		out = append(out, DetectGroups(r, c, pli, 0, pli.NumGroups())...)
+	}
+	return out, nil
+}
+
 // TestDetectParallelMatchesSerial is the determinism contract: for any
 // worker count the parallel detector returns the exact slice the serial
 // detector returns — same violations, same order.
@@ -63,7 +79,7 @@ func TestDetectParallelMatchesSerial(t *testing.T) {
 	r := noisyCust(t, 2_000, 7)
 	set := noisyCustSet(t, r.Schema())
 	d := NewDetector(set)
-	want, err := d.Detect(r)
+	want, err := serialDetect(d, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +116,31 @@ func TestDetectParallelRepeatable(t *testing.T) {
 		if !reflect.DeepEqual(again, first) {
 			t.Fatalf("run %d produced a different violation list", i)
 		}
+	}
+}
+
+// TestColdDetectBuildsEachPartitionOnce: on a fresh cache, a detect
+// builds each distinct X-partition once, however many CFDs share it and
+// however wide the pool — partitions are taken on the caller's
+// goroutine, so two CFDs with one LHS never race to build it twice.
+func TestColdDetectBuildsEachPartitionOnce(t *testing.T) {
+	r := noisyCust(t, 2_000, 19)
+	set := noisyCustSet(t, r.Schema()) // phi1 on [CC, ZIP], phi2 on [CC, AC, PN]
+	set.MustAdd(MustParse("cust([CC, ZIP] -> [CT])", r.Schema()))
+	const distinctLHS = 2
+	cache := relation.NewIndexCache()
+	if _, err := NewDetectorWithCache(set, cache).DetectParallel(r, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Stats().Misses; got != distinctLHS {
+		t.Errorf("DetectParallel: %d partition builds for %d distinct LHS lists", got, distinctLHS)
+	}
+	cache = relation.NewIndexCache()
+	if _, err := DetectShards(r, set, cache, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Stats().Misses; got != distinctLHS {
+		t.Errorf("DetectShards: %d partition builds for %d distinct LHS lists", got, distinctLHS)
 	}
 }
 

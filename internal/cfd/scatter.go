@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"semandaq/internal/fanout"
 	"semandaq/internal/relation"
 )
 
@@ -67,27 +66,22 @@ type ShardResult struct {
 }
 
 // DetectShards runs shard-local detection of every CFD in set over r,
-// returning one ShardResult per CFD in set order. It is Detect
-// restructured to keep per-group attribution: same PLIs (through cache),
-// same prepared fast paths, same emission order within each group.
-// workers parallelizes the group scan like DetectParallel (0 = the
-// machine's pool).
+// returning one ShardResult per CFD in set order. It is DetectParallel's
+// skeleton (scanChunks: partitions through cache on the caller's
+// goroutine, group chunks on a pool of `workers`, 0 = the machine's)
+// with scanGroups as the per-chunk scan, so each violation keeps its
+// group and the emission order within a group is Detect's.
 func DetectShards(r *relation.Relation, set *Set, cache *relation.IndexCache, workers int) ([]ShardResult, error) {
 	if cache == nil {
 		cache = relation.NewIndexCache()
 	}
+	chunks, first, err := scanChunks(r, set, cache, workers, scanGroups)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ShardResult, len(set.cfds))
-	for i, c := range set.cfds {
-		if !r.Schema().Equal(c.schema) {
-			return nil, fmt.Errorf("cfd: detecting %s over relation %s with schema %s",
-				c.name, r.Schema().Name(), c.schema.Name())
-		}
-		pli := cache.Get(r, c.lhs)
-		prep := newPrep(r, c)
-		chunks := groupChunks(pli.NumGroups(), fanout.Workers(workers))
-		out[i] = ShardResult{Groups: slices.Concat(fanout.Map(len(chunks), len(chunks), func(k int) []ShardGroup {
-			return scanGroups(r, c, pli, chunks[k][0], chunks[k][1], prep)
-		})...)}
+	for i := range out {
+		out[i] = ShardResult{Groups: slices.Concat(chunks[first[i]:first[i+1]]...)}
 	}
 	return out, nil
 }

@@ -413,9 +413,11 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 		return out
 	}
 	for round := 0; round < 3; round++ {
+		from := s.Data().Len()
 		if _, err := s.Append(mkClean(round)); err != nil {
 			t.Fatal(err)
 		}
+		assertDeltaClean(t, s, from)
 		after := s.IndexStats()
 		vs, err := vsOf(s.Violations())
 		if err != nil {
@@ -440,10 +442,12 @@ func TestAppendKeepsViolationCacheOnCleanBase(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = dirtyDelta.Tuple(i).Clone()
 	}
+	from := s.Data().Len()
 	res, err := s.Append(tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDeltaClean(t, s, from)
 	after := s.IndexStats()
 	vs, err = vsOf(s.Violations())
 	if err != nil {

@@ -278,8 +278,10 @@ func (s *Session) Version() uint64 {
 	return s.version
 }
 
-// Detect runs violation detection on the current data using the
-// session's worker pool and refreshes the violation cache: the cached
+// Detect runs violation detection on the current data and refreshes
+// the violation cache. Detection is cfd.Detector.DetectParallel over
+// the session's PLI cache: the calling goroutine takes the partitions,
+// and only the group scan fans out over the machine's pool. The cached
 // list is replaced only when the fresh one differs from it, so a detect
 // that finds what the session already holds keeps the list's generation
 // (and whatever consumers derived from it). The returned list is owned
@@ -585,10 +587,10 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 	// base-only violation — so the cached list still names exactly the
 	// grown relation's violations and the next Violations() is O(1), no
 	// re-detection (asserted via cache counters in the engine tests).
-	// The non-empty carry-over is re-verified by re-checking only the
-	// delta tuples' groups (deltaClean — O(delta), on the same cached
-	// partitions the repair just advanced/patched); a non-empty residue
-	// there is never expected and falls back to plain invalidation.
+	// IncInPlace returns only from a pass whose IncDetect over this
+	// delta, set and cache found nothing, and nothing writes after it,
+	// so the delta is not checked again here; the append tests assert
+	// that it stays clean.
 	carried := s.vio
 	base := s.data.Len()
 	deltaTIDs := make([]int, 0, len(tuples))
@@ -622,7 +624,7 @@ func (s *Session) Append(tuples []relation.Tuple) (*repair.Result, error) {
 		}
 	}
 	s.mutated()
-	if carried.valid && (len(carried.list) == 0 || s.deltaClean(deltaTIDs)) {
+	if carried.valid {
 		s.vio = carried // same list, same generation
 	}
 	return res, nil
@@ -652,22 +654,6 @@ func (s *Session) AppendRows(rows [][]string) (*AppendResult, error) {
 		return nil, err
 	}
 	return &AppendResult{Appended: len(tuples), Repair: res}, nil
-}
-
-// deltaClean re-checks only the given (just-repaired) delta tuples'
-// groups against every CFD and reports whether they are violation-free
-// — the defensive half of Append's non-empty violation-list carry-over.
-// Runs on the session's warm PLI cache with delta-tolerant lookups, so
-// the cost is O(delta groups), never a rebuild. Caller holds the write
-// lock.
-func (s *Session) deltaClean(deltaTIDs []int) bool {
-	for _, c := range s.set.All() {
-		pli := s.indexes.GetDelta(s.data, c.LHS())
-		if len(cfd.IncDetect(s.data, c, pli, deltaTIDs)) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Discover profiles the current data for CFDs. If install is true the
